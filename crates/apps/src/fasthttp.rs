@@ -11,16 +11,17 @@
 //! environments every hop.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use enclosure_gofront::{sched::Recv, GoProgram, GoRuntime, GoSource, GoValue, Step};
-use enclosure_hw::Clock;
+use enclosure_gofront::{sched::Recv, ChanId, GoProgram, GoRuntime, GoSource, GoValue, Step};
 use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
 use enclosure_telemetry::{Event, Histogram};
 use litterbox::{Backend, BatchOp, Fault, SysError};
 
 use crate::chaos::{render_unavailable, retry_transient, ChaosTally};
-use crate::httpd::{ServeStats, PAGE_SIZE_BYTES};
+use crate::client::Clients;
+use crate::httpd::{repeat_page, ServeStats, PAGE_SIZE_BYTES};
 
 /// Server listen port.
 pub const FASTHTTP_PORT: u16 = 8081;
@@ -89,6 +90,49 @@ fn io_fault(e: SysError) -> Fault {
         // kernel condition from a broken build.
         SysError::Errno(e) => Fault::Errno(e),
     }
+}
+
+/// The trusted handler's `200 OK` reply: headers plus the 13 KB page.
+/// Built once per process; every request gets a copy.
+fn ok_response() -> &'static [u8] {
+    static RESPONSE: OnceLock<Vec<u8>> = OnceLock::new();
+    RESPONSE.get_or_init(|| {
+        let mut response =
+            format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n").into_bytes();
+        response.extend(repeat_page(b"<html>fast</html>"));
+        response
+    })
+}
+
+fn request(i: u64) -> Vec<u8> {
+    format!("GET /fast/{i} HTTP/1.1\r\n\r\n").into_bytes()
+}
+
+/// Spawns the trusted handler: in a real deployment it would read the
+/// private database the enclosure cannot see. A request is a tuple whose
+/// last field says whether it parsed; the fields before it (the
+/// connection, and the accept timestamp on the concurrent path) pass
+/// through untouched, and the reply body takes the flag's place.
+fn spawn_trusted_handler(rt: &mut GoRuntime, req_ch: ChanId, resp_ch: ChanId, handler_ns: u64) {
+    rt.spawn("trusted-handler", move |ctx| {
+        match ctx.chan_recv(req_ch)? {
+            Recv::Value(v) => {
+                let mut parts = v.into_tuple()?;
+                let ok = parts.pop().unwrap_or_default().as_bool()?;
+                ctx.compute(handler_ns);
+                let body = if ok {
+                    ok_response().to_vec()
+                } else {
+                    b"HTTP/1.1 400 Bad Request\r\n\r\n".to_vec()
+                };
+                parts.push(GoValue::Bytes(body));
+                ctx.chan_send(resp_ch, GoValue::Tuple(parts))?;
+                Ok(Step::Yield)
+            }
+            Recv::Empty => Ok(Step::Yield),
+            Recv::Closed => Ok(Step::Done),
+        }
+    });
 }
 
 impl FastHttpApp {
@@ -294,9 +338,9 @@ impl FastHttpApp {
                 // Send out any finished response.
                 match ctx.chan_recv(resp_ch)? {
                     Recv::Value(v) => {
-                        let parts = v.as_tuple()?;
+                        let mut parts = v.into_tuple()?;
+                        let body = parts.pop().unwrap_or_default().into_bytes()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
-                        let body = parts[1].as_bytes()?;
                         let sent = (|| -> Result<(), SysError> {
                             if batched {
                                 // The whole reply tail is deferrable:
@@ -371,76 +415,8 @@ impl FastHttpApp {
                 Ok(Step::Yield)
             })?;
 
-        // Trusted handler goroutine: in a real deployment it would read
-        // the private database the enclosure cannot see.
-        let handler_ns = cfg.handler_ns;
-        self.rt.spawn("trusted-handler", move |ctx| {
-            match ctx.chan_recv(req_ch)? {
-                Recv::Value(v) => {
-                    let parts = v.as_tuple()?;
-                    let conn = parts[0].clone();
-                    let ok = parts[1].as_bool()?;
-                    ctx.compute(handler_ns);
-                    let body: Vec<u8> = if ok {
-                        let mut response =
-                            format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n")
-                                .into_bytes();
-                        response.extend(
-                            b"<html>fast</html>"
-                                .iter()
-                                .copied()
-                                .cycle()
-                                .take(PAGE_SIZE_BYTES),
-                        );
-                        response
-                    } else {
-                        b"HTTP/1.1 400 Bad Request\r\n\r\n".to_vec()
-                    };
-                    ctx.chan_send(resp_ch, GoValue::Tuple(vec![conn, GoValue::Bytes(body)]))?;
-                    Ok(Step::Yield)
-                }
-                Recv::Empty => Ok(Step::Yield),
-                Recv::Closed => Ok(Step::Done),
-            }
-        });
-
-        // Load generator: connects once the listener exists, then feeds
-        // all n requests. Outside traffic — scratch clock.
-        let mut remaining: Vec<u64> = (0..n).collect();
-        self.rt.spawn("load-generator", move |ctx| {
-            if remaining.is_empty() {
-                return Ok(Step::Done);
-            }
-            let mut scratch = Clock::default();
-            let (kernel, _) = ctx.lb_mut().kernel_and_clock();
-            // Probe: is the listener up?
-            let probe = kernel.socket(&mut scratch);
-            if kernel
-                .connect(&mut scratch, probe, SockAddr::local(port))
-                .is_err()
-            {
-                let _ = kernel.close(&mut scratch, probe);
-                return Ok(Step::Yield);
-            }
-            kernel
-                .send(&mut scratch, probe, b"GET /fast/probe HTTP/1.1\r\n\r\n")
-                .map_err(|e| Fault::Init(format!("client send: {e}")))?;
-            remaining.pop();
-            for i in remaining.drain(..) {
-                let fd = kernel.socket(&mut scratch);
-                kernel
-                    .connect(&mut scratch, fd, SockAddr::local(port))
-                    .map_err(|e| Fault::Init(format!("client connect: {e}")))?;
-                kernel
-                    .send(
-                        &mut scratch,
-                        fd,
-                        format!("GET /fast/{i} HTTP/1.1\r\n\r\n").as_bytes(),
-                    )
-                    .map_err(|e| Fault::Init(format!("client send: {e}")))?;
-            }
-            Ok(Step::Done)
-        });
+        spawn_trusted_handler(&mut self.rt, req_ch, resp_ch, cfg.handler_ns);
+        let clients = Clients::spawn(&mut self.rt, "load-generator", port, n, request);
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
@@ -449,7 +425,9 @@ impl FastHttpApp {
         }
         let ns = self.rt.lb().now_ns() - t0;
         let tally = *tally.borrow();
-        Ok(ServeStats::new(n - tally.degraded, ns).with_tally(tally))
+        let served = n - tally.degraded;
+        clients.reap(self.rt.lb_mut(), served, |reply| reply == ok_response())?;
+        Ok(ServeStats::new(served, ns).with_tally(tally))
     }
 
     /// Serves `n` requests with `cfg.workers` concurrent enclosed
@@ -528,10 +506,10 @@ impl FastHttpApp {
                     // any connection — the accept timestamp rides the
                     // channels).
                     if let Recv::Value(v) = ctx.chan_recv(resp_ch)? {
-                        let parts = v.as_tuple()?;
+                        let mut parts = v.into_tuple()?;
+                        let body = parts.pop().unwrap_or_default().into_bytes()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
                         let t0 = parts[1].as_int()?;
-                        let body = parts[2].as_bytes()?;
                         let sub = u64::from(conn);
                         let (headers, rest) = body.split_at(body.len().min(128));
                         if use_batch {
@@ -633,78 +611,8 @@ impl FastHttpApp {
                 })?;
         }
 
-        // Trusted handler: same page build as the single-server path;
-        // the accept timestamp is threaded through untouched.
-        let handler_ns = cfg.handler_ns;
-        self.rt.spawn("trusted-handler", move |ctx| {
-            match ctx.chan_recv(req_ch)? {
-                Recv::Value(v) => {
-                    let parts = v.as_tuple()?;
-                    let conn = parts[0].clone();
-                    let t0 = parts[1].clone();
-                    let ok = parts[2].as_bool()?;
-                    ctx.compute(handler_ns);
-                    let body: Vec<u8> = if ok {
-                        let mut response =
-                            format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n")
-                                .into_bytes();
-                        response.extend(
-                            b"<html>fast</html>"
-                                .iter()
-                                .copied()
-                                .cycle()
-                                .take(PAGE_SIZE_BYTES),
-                        );
-                        response
-                    } else {
-                        b"HTTP/1.1 400 Bad Request\r\n\r\n".to_vec()
-                    };
-                    ctx.chan_send(
-                        resp_ch,
-                        GoValue::Tuple(vec![conn, t0, GoValue::Bytes(body)]),
-                    )?;
-                    Ok(Step::Yield)
-                }
-                Recv::Empty => Ok(Step::Yield),
-                Recv::Closed => Ok(Step::Done),
-            }
-        });
-
-        // Load generator: identical to the single-server path.
-        let mut remaining: Vec<u64> = (0..n).collect();
-        self.rt.spawn("load-generator", move |ctx| {
-            if remaining.is_empty() {
-                return Ok(Step::Done);
-            }
-            let mut scratch = Clock::default();
-            let (kernel, _) = ctx.lb_mut().kernel_and_clock();
-            let probe = kernel.socket(&mut scratch);
-            if kernel
-                .connect(&mut scratch, probe, SockAddr::local(port))
-                .is_err()
-            {
-                let _ = kernel.close(&mut scratch, probe);
-                return Ok(Step::Yield);
-            }
-            kernel
-                .send(&mut scratch, probe, b"GET /fast/probe HTTP/1.1\r\n\r\n")
-                .map_err(|e| Fault::Init(format!("client send: {e}")))?;
-            remaining.pop();
-            for i in remaining.drain(..) {
-                let fd = kernel.socket(&mut scratch);
-                kernel
-                    .connect(&mut scratch, fd, SockAddr::local(port))
-                    .map_err(|e| Fault::Init(format!("client connect: {e}")))?;
-                kernel
-                    .send(
-                        &mut scratch,
-                        fd,
-                        format!("GET /fast/{i} HTTP/1.1\r\n\r\n").as_bytes(),
-                    )
-                    .map_err(|e| Fault::Init(format!("client send: {e}")))?;
-            }
-            Ok(Step::Done)
-        });
+        spawn_trusted_handler(&mut self.rt, req_ch, resp_ch, cfg.handler_ns);
+        let clients = Clients::spawn(&mut self.rt, "load-generator", port, n, request);
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
@@ -712,6 +620,7 @@ impl FastHttpApp {
             let _ = self.rt.lb_mut().batch_take_completions();
         }
         let ns = self.rt.lb().now_ns() - t0;
+        clients.reap(self.rt.lb_mut(), n, |reply| reply == ok_response())?;
         Ok(ServeStats::new(n, ns))
     }
 }

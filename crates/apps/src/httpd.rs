@@ -17,11 +17,20 @@ use enclosure_telemetry::{Event, Histogram};
 use litterbox::{Backend, BatchOp, Fault, SysError};
 
 use crate::chaos::ChaosTally;
+use crate::client::reap_reply;
 
 /// The 13 KB static page the paper's handler returns.
 pub const PAGE_SIZE_BYTES: usize = 13 * 1024;
 /// Server listen port.
 pub const HTTP_PORT: u16 = 8080;
+
+/// A [`PAGE_SIZE_BYTES`] page of `pattern` repeated, the last copy cut
+/// short.
+pub(crate) fn repeat_page(pattern: &[u8]) -> Vec<u8> {
+    let mut page = pattern.repeat(PAGE_SIZE_BYTES.div_ceil(pattern.len()));
+    page.truncate(PAGE_SIZE_BYTES);
+    page
+}
 
 /// Workload parameters.
 #[derive(Debug, Clone, Copy)]
@@ -131,13 +140,8 @@ impl HttpApp {
         // The static page lives in the handler's arena.
         rt.register_fn("handler.init_page", |ctx, _arg| {
             let page = ctx.malloc(PAGE_SIZE_BYTES as u64)?;
-            let body: Vec<u8> = b"<html>enclosure demo</html>"
-                .iter()
-                .copied()
-                .cycle()
-                .take(PAGE_SIZE_BYTES)
-                .collect();
-            ctx.lb_mut().store(page, &body)?;
+            ctx.lb_mut()
+                .store(page, &repeat_page(b"<html>enclosure demo</html>"))?;
             Ok(GoValue::Ptr(page))
         });
         let page_ptr = rt.call("handler.init_page", GoValue::Unit)?.as_ptr()?;
@@ -377,24 +381,13 @@ impl HttpApp {
                 .clock_mut()
                 .record(Event::RequestServed { ns: req_ns, ok });
             served += 1;
-            // Client: drain the response (unmeasured).
-            let (kernel, _) = self.rt.lb_mut().kernel_and_clock();
-            let mut got = 0usize;
-            loop {
-                match kernel.recv(&mut scratch, client_fd, 64 * 1024) {
-                    Ok(chunk) if chunk.is_empty() => break,
-                    Ok(chunk) => got += chunk.len(),
-                    Err(_) => break,
-                }
-            }
+            // Client: drain the response and close (unmeasured).
+            let got = reap_reply(self.rt.lb_mut().kernel_mut(), &mut scratch, client_fd).len();
             if got < PAGE_SIZE_BYTES {
                 return Err(Fault::Init(format!(
                     "short response: {got} < {PAGE_SIZE_BYTES}"
                 )));
             }
-            kernel
-                .close(&mut scratch, client_fd)
-                .map_err(|e| Fault::Init(format!("client close: {e}")))?;
         }
         Ok(ServeStats::new(served, self.rt.lb().now_ns() - t0))
     }

@@ -21,6 +21,7 @@
 
 pub mod bild;
 pub mod chaos;
+mod client;
 pub mod django;
 pub mod fasthttp;
 pub mod httpd;

@@ -18,13 +18,13 @@
 use std::collections::HashMap;
 
 use enclosure_gofront::{sched::Recv, GoProgram, GoRuntime, GoSource, GoValue, Step};
-use enclosure_hw::Clock;
 use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
 use enclosure_telemetry::{Event, Histogram};
 use litterbox::{Backend, Fault, SysError};
 
 use crate::chaos::{render_unavailable, retry_transient, ChaosTally};
+use crate::client::Clients;
 use crate::httpd::ServeStats;
 use crate::mux::{render_not_found, render_page, route, Route};
 use crate::pq::{self, QueryResult};
@@ -47,6 +47,30 @@ fn io_fault(e: SysError) -> Fault {
         // kernel condition from a broken build.
         SysError::Errno(e) => Fault::Errno(e),
     }
+}
+
+/// Request `i` of a serve call: even ones view the home page, odd ones
+/// save a note.
+fn request(i: u64) -> Vec<u8> {
+    if i.is_multiple_of(2) {
+        b"GET /view/Home HTTP/1.1\r\nHost: wiki\r\n\r\n".to_vec()
+    } else {
+        format!("POST /save/Note{i} HTTP/1.1\r\nHost: wiki\r\n\r\nbody{i}").into_bytes()
+    }
+}
+
+/// True for a served reply: headers, then exactly `Content-Length` body
+/// bytes, and not a 503.
+fn whole_reply(reply: &[u8]) -> bool {
+    let Some(end) = reply.windows(4).position(|w| w == b"\r\n\r\n") else {
+        return false;
+    };
+    let head = String::from_utf8_lossy(&reply[..end]);
+    let length = head
+        .lines()
+        .find_map(|line| line.strip_prefix("Content-Length: "))
+        .and_then(|len| len.parse::<usize>().ok());
+    !head.starts_with("HTTP/1.1 503") && length == Some(reply.len() - end - 4)
 }
 
 /// The assembled wiki application.
@@ -277,9 +301,9 @@ impl WikiApp {
                 }
                 match ctx.chan_recv(reply_ch)? {
                     Recv::Value(v) => {
-                        let parts = v.as_tuple()?;
+                        let mut parts = v.into_tuple()?;
+                        let response = parts.pop().unwrap_or_default().into_bytes()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
-                        let response = parts[1].as_bytes()?;
                         let sent = (|| -> Result<(), SysError> {
                             if batched {
                                 // The reply tail is deferrable: queue it
@@ -489,48 +513,7 @@ impl WikiApp {
             }
         })?;
 
-        // Load generator (outside traffic).
-        let mut remaining: Vec<u64> = (0..n).collect();
-        self.rt.spawn("wiki-load", move |ctx| {
-            if remaining.is_empty() {
-                return Ok(Step::Done);
-            }
-            let mut scratch = Clock::default();
-            let (kernel, _) = ctx.lb_mut().kernel_and_clock();
-            let probe = kernel.socket(&mut scratch);
-            if kernel
-                .connect(&mut scratch, probe, SockAddr::local(port))
-                .is_err()
-            {
-                let _ = kernel.close(&mut scratch, probe);
-                return Ok(Step::Yield);
-            }
-            let send_req = |kernel: &mut enclosure_kernel::Kernel,
-                            scratch: &mut Clock,
-                            fd: u32,
-                            i: u64|
-             -> Result<(), Fault> {
-                let req = if i % 2 == 0 {
-                    "GET /view/Home HTTP/1.1\r\nHost: wiki\r\n\r\n".to_owned()
-                } else {
-                    format!("POST /save/Note{i} HTTP/1.1\r\nHost: wiki\r\n\r\nbody{i}")
-                };
-                kernel
-                    .send(scratch, fd, req.as_bytes())
-                    .map(|_| ())
-                    .map_err(|e| Fault::Init(format!("client send: {e}")))
-            };
-            let first = remaining.remove(0);
-            send_req(kernel, &mut scratch, probe, first)?;
-            for i in remaining.drain(..) {
-                let fd = kernel.socket(&mut scratch);
-                kernel
-                    .connect(&mut scratch, fd, SockAddr::local(port))
-                    .map_err(|e| Fault::Init(format!("client connect: {e}")))?;
-                send_req(kernel, &mut scratch, fd, i)?;
-            }
-            Ok(Step::Done)
-        });
+        let clients = Clients::spawn(&mut self.rt, "wiki-load", port, n, request);
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
@@ -541,7 +524,9 @@ impl WikiApp {
         }
         let ns = self.rt.lb().now_ns() - t0;
         let tally = *tally.borrow();
-        Ok(ServeStats::new(n - tally.degraded, ns).with_tally(tally))
+        let served = n - tally.degraded;
+        clients.reap(self.rt.lb_mut(), served, whole_reply)?;
+        Ok(ServeStats::new(served, ns).with_tally(tally))
     }
 }
 
@@ -713,13 +698,6 @@ mod tests {
     #[test]
     fn view_of_missing_page_is_404_end_to_end() {
         let mut app = WikiApp::new(Backend::Baseline).unwrap();
-        // One GET for a page not in the database.
-        let mut scratch = Clock::default();
-        {
-            let (kernel, _) = app.runtime_mut().lb_mut().kernel_and_clock();
-            let _ = kernel; // connections happen in serve_requests' load-gen
-            let _ = &mut scratch;
-        }
         // Drive a custom single request by seeding the DB without 'Ghost'.
         app.db.borrow_mut().remove("Ghost");
         let stats = app.serve_requests(2).unwrap();

@@ -10,10 +10,11 @@ use enclosure_vmem::Addr;
 /// The reproduction's "Go" functions are Rust closures; `GoValue` is the
 /// argument/result type at their boundary so the runtime can mediate every
 /// cross-package call (and check the `X` right at each one).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum GoValue {
     /// No value.
+    #[default]
     Unit,
     /// An integer.
     Int(u64),
@@ -69,7 +70,29 @@ macro_rules! accessor {
     };
 }
 
+macro_rules! into_accessor {
+    ($fn_name:ident, $variant:ident, $ty:ty, $wanted:literal) => {
+        /// Moves the variant out without copying it, or returns a
+        /// [`ValueError`] naming what was found.
+        ///
+        /// # Errors
+        ///
+        /// [`ValueError`] if the value holds a different variant.
+        pub fn $fn_name(self) -> Result<$ty, ValueError> {
+            match self {
+                GoValue::$variant(v) => Ok(v),
+                other => Err(ValueError {
+                    wanted: $wanted,
+                    got: format!("{other:?}"),
+                }),
+            }
+        }
+    };
+}
+
 impl GoValue {
+    into_accessor!(into_bytes, Bytes, Vec<u8>, "Bytes");
+    into_accessor!(into_tuple, Tuple, Vec<GoValue>, "Tuple");
     accessor!(as_int, Int, u64, "Int");
     accessor!(as_bool, Bool, bool, "Bool");
     accessor!(as_bytes, Bytes, Vec<u8>, "Bytes");
@@ -81,12 +104,6 @@ impl GoValue {
     #[must_use]
     pub fn is_unit(&self) -> bool {
         matches!(self, GoValue::Unit)
-    }
-}
-
-impl Default for GoValue {
-    fn default() -> Self {
-        GoValue::Unit
     }
 }
 

@@ -147,17 +147,14 @@ impl Clock {
         if self.injection_suspended > 0 {
             return false;
         }
-        match self.injection.as_mut() {
-            None => false,
-            Some(plan) => {
-                if plan.should_fail(site) {
-                    self.record(Event::InjectedFault { site: site.name() });
-                    true
-                } else {
-                    false
-                }
-            }
+        let Some(plan) = self.injection.as_mut() else {
+            return false;
+        };
+        if !plan.should_fail(site) {
+            return false;
         }
+        self.record(Event::InjectedFault { site: site.name() });
+        true
     }
 
     /// A deterministic draw in `[0, n)` from the armed plan's stream
@@ -325,10 +322,8 @@ impl Clock {
         for (i, &(vkey, hkey, pages)) in victims.iter().enumerate() {
             let ns = if i + 1 == victims.len() {
                 remaining_ns
-            } else if total_pages == 0 {
-                0
             } else {
-                total_ns * pages / total_pages
+                (total_ns * pages).checked_div(total_pages).unwrap_or(0)
             };
             remaining_ns -= ns;
             self.stats.key_evictions += 1;

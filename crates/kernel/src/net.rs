@@ -294,7 +294,7 @@ impl Network {
         match peer {
             Peer::Local(peer_id) => match self.sockets.get_mut(&peer_id) {
                 Some(SocketState::Stream { rx, .. }) => {
-                    rx.extend(data.iter().copied());
+                    rx.extend(data);
                     Ok(data.len())
                 }
                 _ => Err(Errno::Epipe),
@@ -334,8 +334,16 @@ impl Network {
                     }
                     return Err(Errno::Eagain);
                 }
+                // Copy out of the ring's (at most two) contiguous parts,
+                // then drop the range.
                 let take = len.min(rx.len());
-                Ok(rx.drain(..take).collect())
+                let (front, back) = rx.as_slices();
+                let from_front = take.min(front.len());
+                let mut out = Vec::with_capacity(take);
+                out.extend_from_slice(&front[..from_front]);
+                out.extend_from_slice(&back[..take - from_front]);
+                rx.drain(..take);
+                Ok(out)
             }
             Some(_) => Err(Errno::Enotsock),
             None => Err(Errno::Ebadf),
@@ -465,6 +473,24 @@ mod tests {
         net.close(client).unwrap();
         assert_eq!(net.recv(server, 10).unwrap(), b"bye");
         assert_eq!(net.recv(server, 10).unwrap(), b"", "EOF after drain");
+    }
+
+    #[test]
+    fn recv_copies_across_the_ring_wrap() {
+        let mut net = Network::new();
+        let (client, server) = connected_pair(&mut net);
+        let data: Vec<u8> = (0..=255).collect();
+        net.send(client, &data[..100]).unwrap();
+        assert_eq!(net.recv(server, 90).unwrap(), &data[..90]);
+        // The queue's head now sits near the buffer's end: this send
+        // wraps, and the next recv reads both parts of the ring.
+        net.send(client, &data[100..]).unwrap();
+        let Some(SocketState::Stream { rx, .. }) = net.sockets.get(&server) else {
+            panic!("server end is a stream");
+        };
+        assert!(!rx.as_slices().1.is_empty(), "queue wrapped");
+        assert_eq!(net.recv(server, 200).unwrap(), &data[90..]);
+        assert_eq!(net.recv(server, 1), Err(Errno::Eagain));
     }
 
     #[test]

@@ -62,6 +62,9 @@ impl Clustering {
     }
 }
 
+/// A package's rights in every enclosure, in enclosure-id order.
+type Signature = Vec<(EnclosureId, Access)>;
+
 /// Clusters `package_names` by their access signature across
 /// `enclosures`' views.
 ///
@@ -76,11 +79,11 @@ pub fn cluster(package_names: &[String], enclosures: &[EnclosureDesc]) -> Cluste
 
     // signature → members (BTreeMap keyed by the signature bytes keeps
     // the grouping deterministic).
-    let mut groups: BTreeMap<Vec<(EnclosureId, Access)>, Vec<String>> = BTreeMap::new();
+    let mut groups: BTreeMap<Signature, Vec<String>> = BTreeMap::new();
     let mut names = package_names.to_vec();
     names.sort();
     for name in &names {
-        let signature: Vec<(EnclosureId, Access)> = by_id
+        let signature: Signature = by_id
             .iter()
             .map(|e| (e.id, e.view.get(name).copied().unwrap_or(Access::NONE)))
             .collect();
@@ -88,7 +91,7 @@ pub fn cluster(package_names: &[String], enclosures: &[EnclosureDesc]) -> Cluste
     }
 
     // Deterministic index order: by first member name.
-    let mut ordered: Vec<(Vec<(EnclosureId, Access)>, Vec<String>)> = groups.into_iter().collect();
+    let mut ordered: Vec<(Signature, Vec<String>)> = groups.into_iter().collect();
     ordered.sort_by(|a, b| a.1[0].cmp(&b.1[0]));
 
     let mut clustering = Clustering::default();

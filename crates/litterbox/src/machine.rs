@@ -186,6 +186,10 @@ pub struct SwitchCacheStats {
     pub compiles: u64,
 }
 
+// One per machine and matched on every switch: boxing the MPK state
+// would add an indirection on the hot path, and the size it saves does
+// not matter for a single value.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum HwState {
     Baseline,

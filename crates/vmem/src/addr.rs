@@ -187,7 +187,7 @@ impl VirtRange {
     /// True if both endpoints are page aligned.
     #[must_use]
     pub fn is_page_aligned(&self) -> bool {
-        self.start.is_page_aligned() && self.len % PAGE_SIZE == 0
+        self.start.is_page_aligned() && self.len.is_multiple_of(PAGE_SIZE)
     }
 
     /// Iterates over every page the range touches.

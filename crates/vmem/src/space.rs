@@ -185,7 +185,7 @@ impl AddressSpace {
                 .get_mut(&cursor.page())
                 .ok_or(VmemError::NotBacked { addr: cursor })?;
             let off = cursor.page_offset() as usize;
-            let take = ((PAGE_SIZE as u64) - off as u64).min(remaining);
+            let take = (PAGE_SIZE - off as u64).min(remaining);
             page[off..off + take as usize].fill(byte);
             remaining -= take;
             cursor = Addr(cursor.0 + take);

@@ -18,6 +18,9 @@ cargo test -q --offline
 echo "== formatting =="
 cargo fmt --all --check
 
+echo "== lints (clippy, warnings are errors) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "== smoke: repro attribution (telemetry-derived §6.4) =="
 ./target/release/repro attribution --quick >/dev/null
 

@@ -1,8 +1,8 @@
 //! Differential harness for the completion-driven gateway (ISSUE 8).
 //!
 //! The equivalence theorem, checked per seed and per backend: the async
-//! reactor ([`LitterBox::batch_submit`] + [`litterbox::CompletionToken`]
-//! + adaptive flush) is **observationally equivalent** to the
+//! reactor ([`LitterBox::batch_submit`] + [`litterbox::CompletionToken`] +
+//! adaptive flush) is **observationally equivalent** to the
 //! synchronous ring (`batch_enqueue` + `batch_flush` +
 //! `batch_take_completions`) —
 //!
