@@ -13,11 +13,13 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use enclosure_gofront::{sched::Recv, ChanId, GoProgram, GoRuntime, GoSource, GoValue, Step};
+use enclosure_gofront::{
+    sched::Recv, ChanId, GoCtx, GoProgram, GoRuntime, GoSource, GoValue, Step,
+};
 use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
 use enclosure_telemetry::{Event, Histogram};
-use litterbox::{Backend, BatchOp, Fault, SysError};
+use litterbox::{Backend, BatchOp, Fault, IoMode, LitterBox, SysError};
 
 use crate::chaos::{render_unavailable, retry_transient, ChaosTally};
 use crate::client::Clients;
@@ -35,17 +37,6 @@ pub struct FastHttpConfig {
     pub parse_ns: u64,
     /// Trusted handler compute per request.
     pub handler_ns: u64,
-    /// Route deferrable syscalls through the batched gateway; the
-    /// scheduler flushes them once per quantum, so the enclosed server
-    /// pays a few charged crossings per request instead of ~11. Off by
-    /// default: Table 2 measures the unbatched trace.
-    pub batched_io: bool,
-    /// Completion-driven submission: workers `batch_submit` their reply
-    /// tails and **park** on the returned token instead of flushing
-    /// every quantum; the adaptive flush policy (plus the switch
-    /// barriers) decides when the accumulated batch crosses. Implies
-    /// batching. Only meaningful with `workers > 1`.
-    pub async_io: bool,
     /// Concurrent enclosed server goroutines sharing one listener.
     /// `1` (the default) keeps the original single-server trace;
     /// larger values exercise the reactor under concurrency.
@@ -58,8 +49,6 @@ impl Default for FastHttpConfig {
         FastHttpConfig {
             parse_ns: 9_000,
             handler_ns: 28_000,
-            batched_io: false,
-            async_io: false,
             workers: 1,
         }
     }
@@ -83,15 +72,6 @@ enum ServerState {
     Running { listen: u32 },
 }
 
-fn io_fault(e: SysError) -> Fault {
-    match e {
-        SysError::Fault(f) => f,
-        // Keep the errno's identity so callers can tell a transient
-        // kernel condition from a broken build.
-        SysError::Errno(e) => Fault::Errno(e),
-    }
-}
-
 /// The trusted handler's `200 OK` reply: headers plus the 13 KB page.
 /// Built once per process; every request gets a copy.
 fn ok_response() -> &'static [u8] {
@@ -108,11 +88,32 @@ fn request(i: u64) -> Vec<u8> {
     format!("GET /fast/{i} HTTP/1.1\r\n\r\n").into_bytes()
 }
 
+/// The deferrable reply tail of one connection, in issue order: worker
+/// wake, headers, body, close, teardown wake, access-log timestamp.
+fn reply_tail(conn: u32, headers: Vec<u8>, rest: Vec<u8>) -> [BatchOp; 6] {
+    [
+        BatchOp::Futex,
+        BatchOp::Send {
+            fd: conn,
+            data: headers,
+        },
+        BatchOp::Send {
+            fd: conn,
+            data: rest,
+        },
+        BatchOp::Close { fd: conn },
+        BatchOp::Futex,
+        BatchOp::ClockGettime,
+    ]
+}
+
 /// Spawns the trusted handler: in a real deployment it would read the
 /// private database the enclosure cannot see. A request is a tuple whose
 /// last field says whether it parsed; the fields before it (the
 /// connection, and the accept timestamp on the concurrent path) pass
-/// through untouched, and the reply body takes the flag's place.
+/// through untouched, and the reply takes the flag's place as two byte
+/// strings — its first 128 bytes and the rest — which the server sends
+/// in two writes ([`reply_tail`]) without copying them again.
 fn spawn_trusted_handler(rt: &mut GoRuntime, req_ch: ChanId, resp_ch: ChanId, handler_ns: u64) {
     rt.spawn("trusted-handler", move |ctx| {
         match ctx.chan_recv(req_ch)? {
@@ -120,12 +121,14 @@ fn spawn_trusted_handler(rt: &mut GoRuntime, req_ch: ChanId, resp_ch: ChanId, ha
                 let mut parts = v.into_tuple()?;
                 let ok = parts.pop().unwrap_or_default().as_bool()?;
                 ctx.compute(handler_ns);
-                let body = if ok {
-                    ok_response().to_vec()
+                let reply = if ok {
+                    ok_response()
                 } else {
-                    b"HTTP/1.1 400 Bad Request\r\n\r\n".to_vec()
+                    b"HTTP/1.1 400 Bad Request\r\n\r\n"
                 };
-                parts.push(GoValue::Bytes(body));
+                let (headers, rest) = reply.split_at(reply.len().min(128));
+                parts.push(GoValue::Bytes(headers.to_vec()));
+                parts.push(GoValue::Bytes(rest.to_vec()));
                 ctx.chan_send(resp_ch, GoValue::Tuple(parts))?;
                 Ok(Step::Yield)
             }
@@ -181,6 +184,17 @@ impl FastHttpApp {
         &mut self.rt
     }
 
+    /// Sets how the enclosed server issues its deferrable syscalls
+    /// (deadline reads, the netpoll arm, the reply tail) on this app's
+    /// machine. `Immediate` by default: Table 2 measures the unbatched
+    /// trace, ~11 charged crossings per request. `Quantum` pays one per
+    /// flushed quantum instead; under `Adaptive` workers park on their
+    /// reply tails while the flush policy and the switch barriers
+    /// decide when the accumulated batch crosses.
+    pub fn set_io_mode(&mut self, mode: IoMode) {
+        self.rt.lb_mut().set_io_mode(mode);
+    }
+
     /// Per-request latency distribution: simulated ns from the server's
     /// `accept` to the reply (or 503) leaving on that connection,
     /// accumulated across [`FastHttpApp::serve_requests`] calls.
@@ -215,11 +229,7 @@ impl FastHttpApp {
         // injection it degrades instead of dying: transient errnos are
         // retried in place, and a request whose handling faults is
         // answered with a 503 while the loop keeps serving.
-        if cfg.batched_io {
-            self.rt.lb_mut().enable_batching();
-        }
         let parse_ns = cfg.parse_ns;
-        let batched = cfg.batched_io;
         let mut state = ServerState::Setup;
         let mut accepted = 0u64;
         let mut replied = 0u64;
@@ -244,50 +254,39 @@ impl FastHttpApp {
                         Ok(listen) => state = ServerState::Running { listen },
                         // Retry the whole setup next round.
                         Err(e) if e.is_transient() => {}
-                        Err(e) => return Err(io_fault(e)),
+                        Err(e) => return Err(e.into()),
                     }
                     return Ok(Step::Yield);
                 }
                 let ServerState::Running { listen } = state else {
                     unreachable!()
                 };
-                // Drain replies the quantum flush completed: per-entry
-                // errors are contained (each completion carries its own
-                // errno), so draining keeps the ring bounded.
-                if batched {
-                    let _ = ctx.lb_mut().batch_take_completions();
-                }
+                // Deferrable calls issue through the gateway, retrying
+                // transient errors in place (only an immediate op can
+                // fail at submission). The op is lent, so it is copied
+                // only if it queues.
+                let submit = |lb: &mut LitterBox, conn: u32, op: &BatchOp| {
+                    retry_transient(&srv_tally, || lb.submit(u64::from(conn), op))
+                };
+                // Drain posted completions: per-entry errors are
+                // contained (each completion carries its own errno), so
+                // draining keeps the ring bounded.
+                let _ = ctx.lb_mut().take_completions();
                 // Accept + parse one request, forward to the trusted side.
                 if accepted < n {
                     match retry_transient(&srv_tally, || ctx.lb_mut().sys_accept(listen)) {
                         Ok(conn) => {
                             accept_ns.insert(conn, ctx.lb().now_ns());
+                            // `recv` stays synchronous: its bytes gate
+                            // progress. The deadline reads and the
+                            // netpoll arm around it are deferrable.
                             let head = (|| -> Result<Vec<u8>, SysError> {
-                                if batched {
-                                    // Deadline reads and the netpoll arm
-                                    // are deferrable: they ride the
-                                    // quantum's single charged flush.
-                                    let sub = u64::from(conn);
-                                    ctx.lb_mut()
-                                        .batch_enqueue(sub, BatchOp::ClockGettime)
-                                        .map_err(SysError::Fault)?;
-                                    let head = retry_transient(&srv_tally, || {
-                                        ctx.lb_mut().sys_recv(conn, 4096)
-                                    })?;
-                                    ctx.lb_mut()
-                                        .batch_enqueue(sub, BatchOp::ClockGettime)
-                                        .map_err(SysError::Fault)?;
-                                    ctx.lb_mut()
-                                        .batch_enqueue(sub, BatchOp::Futex)
-                                        .map_err(SysError::Fault)?;
-                                    return Ok(head);
-                                }
-                                retry_transient(&srv_tally, || ctx.lb_mut().sys_clock_gettime())?;
+                                submit(ctx.lb_mut(), conn, &BatchOp::ClockGettime)?;
                                 let head = retry_transient(&srv_tally, || {
                                     ctx.lb_mut().sys_recv(conn, 4096)
                                 })?;
-                                retry_transient(&srv_tally, || ctx.lb_mut().sys_clock_gettime())?;
-                                retry_transient(&srv_tally, || ctx.lb_mut().sys_futex())?; // netpoll arm
+                                submit(ctx.lb_mut(), conn, &BatchOp::ClockGettime)?;
+                                submit(ctx.lb_mut(), conn, &BatchOp::Futex)?;
                                 Ok(head)
                             })();
                             match head {
@@ -324,7 +323,7 @@ impl FastHttpApp {
                                             .record(Event::RequestServed { ns, ok: false });
                                     }
                                 }
-                                Err(e) => return Err(io_fault(e)),
+                                Err(e) => return Err(e.into()),
                             }
                         }
                         Err(SysError::Errno(_)) => {}
@@ -332,58 +331,19 @@ impl FastHttpApp {
                         // VM EXIT) before any connection state exists:
                         // nothing to degrade, try again next round.
                         Err(e) if e.is_transient() => {}
-                        Err(e) => return Err(io_fault(e)),
+                        Err(e) => return Err(e.into()),
                     }
                 }
                 // Send out any finished response.
                 match ctx.chan_recv(resp_ch)? {
                     Recv::Value(v) => {
                         let mut parts = v.into_tuple()?;
-                        let body = parts.pop().unwrap_or_default().into_bytes()?;
+                        let rest = parts.pop().unwrap_or_default().into_bytes()?;
+                        let headers = parts.pop().unwrap_or_default().into_bytes()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
-                        let sent = (|| -> Result<(), SysError> {
-                            if batched {
-                                // The whole reply tail is deferrable:
-                                // queue it and let the quantum boundary
-                                // pay one crossing for everything.
-                                let sub = u64::from(conn);
-                                let (headers, rest) = body.split_at(body.len().min(128));
-                                let lb = ctx.lb_mut();
-                                lb.batch_enqueue(sub, BatchOp::Futex)
-                                    .map_err(SysError::Fault)?; // worker wake
-                                lb.batch_enqueue(
-                                    sub,
-                                    BatchOp::Send {
-                                        fd: conn,
-                                        data: headers.to_vec(),
-                                    },
-                                )
-                                .map_err(SysError::Fault)?;
-                                lb.batch_enqueue(
-                                    sub,
-                                    BatchOp::Send {
-                                        fd: conn,
-                                        data: rest.to_vec(),
-                                    },
-                                )
-                                .map_err(SysError::Fault)?;
-                                lb.batch_enqueue(sub, BatchOp::Close { fd: conn })
-                                    .map_err(SysError::Fault)?;
-                                lb.batch_enqueue(sub, BatchOp::Futex)
-                                    .map_err(SysError::Fault)?; // teardown wake
-                                lb.batch_enqueue(sub, BatchOp::ClockGettime)
-                                    .map_err(SysError::Fault)?;
-                                return Ok(());
-                            }
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_futex())?; // worker wake
-                            let (headers, rest) = body.split_at(body.len().min(128));
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_send(conn, headers))?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_send(conn, rest))?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_close(conn))?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_futex())?; // teardown wake
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_clock_gettime())?;
-                            Ok(())
-                        })();
+                        let sent = reply_tail(conn, headers, rest)
+                            .iter()
+                            .try_for_each(|op| submit(ctx.lb_mut(), conn, op).map(drop));
                         let mut ok = true;
                         match sent {
                             Ok(()) => {}
@@ -394,7 +354,7 @@ impl FastHttpApp {
                                 srv_tally.borrow_mut().degraded += 1;
                                 ok = false;
                             }
-                            Err(e) => return Err(io_fault(e)),
+                            Err(e) => return Err(e.into()),
                         }
                         if let Some(t0) = accept_ns.remove(&conn) {
                             let ns = ctx.lb().now_ns() - t0;
@@ -420,9 +380,7 @@ impl FastHttpApp {
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
-        if cfg.batched_io {
-            let _ = self.rt.lb_mut().batch_take_completions();
-        }
+        let _ = self.rt.lb_mut().take_completions();
         let ns = self.rt.lb().now_ns() - t0;
         let tally = *tally.borrow();
         let served = n - tally.degraded;
@@ -432,14 +390,14 @@ impl FastHttpApp {
 
     /// Serves `n` requests with `cfg.workers` concurrent enclosed
     /// server goroutines sharing one listener (plus the trusted handler
-    /// and the load generator). With `async_io` the workers submit
-    /// their reply tails through the completion-driven gateway and
-    /// **park** on the final token, so the adaptive flush policy and
-    /// the switch barriers amortize one charged crossing over every
-    /// worker's batch; with `batched_io` alone the tails still flush
-    /// every quantum (one crossing per worker per round). The request
-    /// results are identical either way — only the flush schedule and
-    /// the charged-crossing ledger differ.
+    /// and the load generator). Each worker submits its reply tail and
+    /// parks on the last token. Under `Immediate` that token is already
+    /// complete, so the worker retires the request at once; under
+    /// `Quantum` the quantum flush completes it before the park takes
+    /// effect; under `Adaptive` the worker parks until the flush policy
+    /// or a switch barrier pays one charged crossing for every worker's
+    /// batch. The request results are identical in every mode — only
+    /// the flush schedule and the charged-crossing ledger differ.
     fn serve_requests_concurrent(
         &mut self,
         n: u64,
@@ -449,12 +407,6 @@ impl FastHttpApp {
         let cap = usize::try_from(n).unwrap_or(usize::MAX).max(64);
         let req_ch = self.rt.make_chan(cap);
         let resp_ch = self.rt.make_chan(cap);
-        if cfg.async_io {
-            self.rt.lb_mut().enable_async_gateway();
-        } else if cfg.batched_io {
-            self.rt.lb_mut().enable_batching();
-        }
-        let use_batch = cfg.async_io || cfg.batched_io;
         let listener: Shared<Option<u32>> = Shared::default();
         let accepted: Shared<u64> = Shared::default();
         let replied: Shared<u64> = Shared::default();
@@ -467,33 +419,35 @@ impl FastHttpApp {
             let closed = closed.clone();
             let latency = self.latency.clone();
             let parse_ns = cfg.parse_ns;
-            let async_io = cfg.async_io;
-            // The reply tail this worker last shipped: reaped (and its
+            // The reply tail this worker parked on: reaped (and its
             // latency recorded) next quantum, after the flush that
-            // serviced it — in async mode the park ends exactly there.
+            // serviced it.
             let mut shipped: Option<(u32, u64)> = None;
             self.rt
                 .spawn_enclosed(&format!("fasthttp-worker-{w}"), "server_enc", move |ctx| {
                     let Some(listen) = listener.get() else {
                         // Worker 0 owns listener setup; peers wait.
                         if w == 0 {
-                            let fd = ctx.lb_mut().sys_socket().map_err(io_fault)?;
-                            ctx.lb_mut()
-                                .sys_bind(fd, SockAddr::local(port))
-                                .map_err(io_fault)?;
-                            ctx.lb_mut().sys_listen(fd).map_err(io_fault)?;
+                            let fd = ctx.lb_mut().sys_socket()?;
+                            ctx.lb_mut().sys_bind(fd, SockAddr::local(port))?;
+                            ctx.lb_mut().sys_listen(fd)?;
                             listener.set(Some(fd));
                         }
                         return Ok(Step::Yield);
                     };
-                    if let Some((conn, t0)) = shipped.take() {
-                        let _ = ctx.lb_mut().batch_take_completions_for(u64::from(conn));
+                    // Reaps a shipped reply tail and closes the request
+                    // out into the latency histogram.
+                    let retire = |ctx: &mut GoCtx<'_>, conn: u32, t0: u64| {
+                        let _ = ctx.lb_mut().take_completions_for(u64::from(conn));
                         let ns = ctx.lb().now_ns() - t0;
                         latency.borrow_mut().record(ns);
                         ctx.lb_mut()
                             .clock_mut()
                             .record(Event::RequestServed { ns, ok: true });
                         replied.set(replied.get() + 1);
+                    };
+                    if let Some((conn, t0)) = shipped.take() {
+                        retire(ctx, conn, t0);
                     }
                     if replied.get() >= n {
                         if !closed.get() {
@@ -507,89 +461,37 @@ impl FastHttpApp {
                     // channels).
                     if let Recv::Value(v) = ctx.chan_recv(resp_ch)? {
                         let mut parts = v.into_tuple()?;
-                        let body = parts.pop().unwrap_or_default().into_bytes()?;
+                        let rest = parts.pop().unwrap_or_default().into_bytes()?;
+                        let headers = parts.pop().unwrap_or_default().into_bytes()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
                         let t0 = parts[1].as_int()?;
-                        let sub = u64::from(conn);
-                        let (headers, rest) = body.split_at(body.len().min(128));
-                        if use_batch {
-                            let lb = ctx.lb_mut();
-                            if async_io {
-                                lb.batch_submit(sub, BatchOp::Futex)?;
-                                lb.batch_submit(
-                                    sub,
-                                    BatchOp::Send {
-                                        fd: conn,
-                                        data: headers.to_vec(),
-                                    },
-                                )?;
-                                lb.batch_submit(
-                                    sub,
-                                    BatchOp::Send {
-                                        fd: conn,
-                                        data: rest.to_vec(),
-                                    },
-                                )?;
-                                lb.batch_submit(sub, BatchOp::Close { fd: conn })?;
-                                lb.batch_submit(sub, BatchOp::Futex)?;
-                                let last = lb.batch_submit(sub, BatchOp::ClockGettime)?;
-                                shipped = Some((conn, t0));
-                                return Ok(Step::Park(last));
-                            }
-                            lb.batch_enqueue(sub, BatchOp::Futex)?;
-                            lb.batch_enqueue(
-                                sub,
-                                BatchOp::Send {
-                                    fd: conn,
-                                    data: headers.to_vec(),
-                                },
-                            )?;
-                            lb.batch_enqueue(
-                                sub,
-                                BatchOp::Send {
-                                    fd: conn,
-                                    data: rest.to_vec(),
-                                },
-                            )?;
-                            lb.batch_enqueue(sub, BatchOp::Close { fd: conn })?;
-                            lb.batch_enqueue(sub, BatchOp::Futex)?;
-                            lb.batch_enqueue(sub, BatchOp::ClockGettime)?;
-                            shipped = Some((conn, t0));
+                        let [tail @ .., last] = reply_tail(conn, headers, rest);
+                        for op in tail {
+                            ctx.lb_mut().submit(u64::from(conn), op)?;
+                        }
+                        let last = ctx.lb_mut().submit(u64::from(conn), last)?;
+                        // A tail whose last op already completed (serviced
+                        // at submission, or flushed by the size trigger)
+                        // has left: retire it now instead of parking.
+                        if ctx.lb().is_complete(last) {
+                            retire(ctx, conn, t0);
                             return Ok(Step::Yield);
                         }
-                        ctx.lb_mut().sys_futex().map_err(io_fault)?;
-                        ctx.lb_mut().sys_send(conn, headers).map_err(io_fault)?;
-                        ctx.lb_mut().sys_send(conn, rest).map_err(io_fault)?;
-                        ctx.lb_mut().sys_close(conn).map_err(io_fault)?;
-                        ctx.lb_mut().sys_futex().map_err(io_fault)?;
-                        ctx.lb_mut().sys_clock_gettime().map_err(io_fault)?;
-                        let ns = ctx.lb().now_ns() - t0;
-                        latency.borrow_mut().record(ns);
-                        ctx.lb_mut()
-                            .clock_mut()
-                            .record(Event::RequestServed { ns, ok: true });
-                        replied.set(replied.get() + 1);
-                        return Ok(Step::Yield);
+                        shipped = Some((conn, t0));
+                        return Ok(Step::Park(last));
                     }
-                    // Accept + parse + forward one request.
+                    // Accept + parse + forward one request. `accept` and
+                    // `recv` stay synchronous: their results gate
+                    // progress.
                     if accepted.get() < n {
                         match ctx.lb_mut().sys_accept(listen) {
                             Ok(conn) => {
                                 let t0 = ctx.lb().now_ns();
                                 let sub = u64::from(conn);
-                                if use_batch {
-                                    ctx.lb_mut().batch_enqueue(sub, BatchOp::ClockGettime)?;
-                                } else {
-                                    ctx.lb_mut().sys_clock_gettime().map_err(io_fault)?;
-                                }
-                                let head = ctx.lb_mut().sys_recv(conn, 4096).map_err(io_fault)?;
-                                if use_batch {
-                                    ctx.lb_mut().batch_enqueue(sub, BatchOp::ClockGettime)?;
-                                    ctx.lb_mut().batch_enqueue(sub, BatchOp::Futex)?;
-                                } else {
-                                    ctx.lb_mut().sys_clock_gettime().map_err(io_fault)?;
-                                    ctx.lb_mut().sys_futex().map_err(io_fault)?;
-                                }
+                                ctx.lb_mut().submit(sub, BatchOp::ClockGettime)?;
+                                let head = ctx.lb_mut().sys_recv(conn, 4096)?;
+                                ctx.lb_mut().submit(sub, BatchOp::ClockGettime)?;
+                                ctx.lb_mut().submit(sub, BatchOp::Futex)?;
                                 ctx.compute(parse_ns);
                                 let ok = head.starts_with(b"GET ");
                                 if ctx.chan_send(
@@ -604,7 +506,7 @@ impl FastHttpApp {
                                 }
                             }
                             Err(SysError::Errno(_)) => {}
-                            Err(e) => return Err(io_fault(e)),
+                            Err(e) => return Err(e.into()),
                         }
                     }
                     Ok(Step::Yield)
@@ -616,9 +518,7 @@ impl FastHttpApp {
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
-        if use_batch {
-            let _ = self.rt.lb_mut().batch_take_completions();
-        }
+        let _ = self.rt.lb_mut().take_completions();
         let ns = self.rt.lb().now_ns() - t0;
         clients.reap(self.rt.lb_mut(), n, |reply| reply == ok_response())?;
         Ok(ServeStats::new(n, ns))
@@ -665,18 +565,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_io_amortizes_crossings_at_equal_request_counts() {
-        let batched_cfg = FastHttpConfig {
-            batched_io: true,
-            ..FastHttpConfig::default()
-        };
+    fn quantum_io_amortizes_crossings_at_equal_request_counts() {
         for backend in [Backend::Mpk, Backend::Vtx] {
             let mut plain = FastHttpApp::new(backend).unwrap();
             plain.runtime_mut().lb_mut().clock_mut().reset();
             plain.serve_requests(10, FastHttpConfig::default()).unwrap();
             let mut batched = FastHttpApp::new(backend).unwrap();
             batched.runtime_mut().lb_mut().clock_mut().reset();
-            let stats = batched.serve_requests(10, batched_cfg).unwrap();
+            batched.set_io_mode(IoMode::Quantum);
+            let stats = batched
+                .serve_requests(10, FastHttpConfig::default())
+                .unwrap();
             assert_eq!(stats.served, 10, "{backend}");
             let p = plain.runtime().lb().stats();
             let b = batched.runtime().lb().stats();
@@ -699,27 +598,41 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_workers_serve_all_requests_in_every_io_mode() {
+    fn workers_serve_all_requests_in_every_io_mode() {
         for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-            for (batched, async_io) in [(false, false), (true, false), (true, true)] {
-                let cfg = FastHttpConfig {
-                    batched_io: batched,
-                    async_io,
-                    workers: 8,
-                    ..FastHttpConfig::default()
-                };
+            for workers in [1, 4] {
                 let mut app = FastHttpApp::new(backend).unwrap();
                 app.runtime_mut().lb_mut().clock_mut().reset();
-                let stats = app.serve_requests(24, cfg).unwrap();
-                assert_eq!(
-                    stats.served, 24,
-                    "{backend} batched={batched} async={async_io}"
-                );
-                assert_eq!(
-                    app.latency().count(),
-                    24,
-                    "{backend} batched={batched} async={async_io}: every request timed"
-                );
+                for io in [IoMode::Immediate, IoMode::Quantum, IoMode::Adaptive] {
+                    app.set_io_mode(io);
+                    let cfg = FastHttpConfig {
+                        workers,
+                        ..FastHttpConfig::default()
+                    };
+                    let before = app.latency().count();
+                    let parks = app.runtime().lb().telemetry().counters().go_parks;
+                    let stats = app.serve_requests(24, cfg).unwrap();
+                    assert_eq!(stats.served, 24, "{backend} workers={workers} {io:?}");
+                    assert_eq!(
+                        app.latency().count() - before,
+                        24,
+                        "{backend} workers={workers} {io:?}: every request timed"
+                    );
+                    assert_eq!(
+                        app.runtime().lb().pending_submissions(),
+                        0,
+                        "{backend} workers={workers} {io:?}: nothing left queued"
+                    );
+                    // Only the reactor leaves a tail pending past the
+                    // quantum boundary: immediate tails are complete on
+                    // return, and the quantum flush completes the rest
+                    // before the park check.
+                    let c = app.runtime().lb().telemetry().counters();
+                    if io != IoMode::Adaptive {
+                        assert_eq!(c.go_parks, parks, "{backend} workers={workers} {io:?}");
+                    }
+                    assert_eq!(c.go_parks, c.go_wakes, "{backend} workers={workers} {io:?}");
+                }
             }
         }
     }
@@ -732,23 +645,18 @@ mod tests {
         // end, because one charged crossing now covers every worker's
         // quantum instead of one each.
         for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-            let sync_cfg = FastHttpConfig {
-                batched_io: true,
-                workers: 8,
-                ..FastHttpConfig::default()
-            };
-            let async_cfg = FastHttpConfig {
-                batched_io: true,
-                async_io: true,
+            let cfg = FastHttpConfig {
                 workers: 8,
                 ..FastHttpConfig::default()
             };
             let mut sync_app = FastHttpApp::new(backend).unwrap();
             sync_app.runtime_mut().lb_mut().clock_mut().reset();
-            let sync_stats = sync_app.serve_requests(48, sync_cfg).unwrap();
+            sync_app.set_io_mode(IoMode::Quantum);
+            let sync_stats = sync_app.serve_requests(48, cfg).unwrap();
             let mut async_app = FastHttpApp::new(backend).unwrap();
             async_app.runtime_mut().lb_mut().clock_mut().reset();
-            let async_stats = async_app.serve_requests(48, async_cfg).unwrap();
+            async_app.set_io_mode(IoMode::Adaptive);
+            let async_stats = async_app.serve_requests(48, cfg).unwrap();
             assert_eq!(sync_stats.served, 48, "{backend}");
             assert_eq!(async_stats.served, 48, "{backend}");
             assert!(
@@ -808,7 +716,7 @@ mod tests {
         rt.register_fn("fasthttp.Serve", move |ctx, _arg| {
             assert!(ctx.lb().load_u64(secret).is_err(), "secret unreachable");
             // net is allowed…
-            let fd = ctx.lb_mut().sys_socket().map_err(io_fault)?;
+            let fd = ctx.lb_mut().sys_socket()?;
             // …files are not.
             assert!(ctx
                 .lb_mut()

@@ -14,7 +14,7 @@ use enclosure_gofront::{GoProgram, GoRuntime, GoSource, GoValue};
 use enclosure_hw::Clock;
 use enclosure_kernel::net::SockAddr;
 use enclosure_telemetry::{Event, Histogram};
-use litterbox::{Backend, BatchOp, Fault, SysError};
+use litterbox::{Backend, Fault, SysError};
 
 use crate::chaos::ChaosTally;
 use crate::client::reap_reply;
@@ -39,17 +39,6 @@ pub struct HttpConfig {
     pub parse_ns: u64,
     /// Handler compute per request (page selection + formatting).
     pub handler_ns: u64,
-    /// Route deferrable syscalls (timestamps, sends, teardown) through
-    /// the batched gateway so each request pays at most a few charged
-    /// crossings instead of one per syscall. Off by default: the
-    /// paper's Table 2 rows measure the unbatched trace.
-    pub batched_io: bool,
-    /// Route the reply tail through the completion-driven gateway:
-    /// syscalls are submitted for [`litterbox::CompletionToken`]s and
-    /// reaped by polling, with a drain flush standing in for the
-    /// scheduler's adaptive deadline when a request must retire before
-    /// one fires. Implies batching.
-    pub async_io: bool,
 }
 
 impl Default for HttpConfig {
@@ -59,8 +48,6 @@ impl Default for HttpConfig {
         HttpConfig {
             parse_ns: 18_000,
             handler_ns: 33_000,
-            batched_io: false,
-            async_io: false,
         }
     }
 }
@@ -165,138 +152,33 @@ impl HttpApp {
         });
 
         // The serve loop: trusted code in nethttp issuing the real
-        // syscall trace of a Go HTTP server. With `batched_io` the
-        // deferrable calls (deadlines, sends, teardown) go through the
-        // batched gateway: accept and recv stay synchronous (their
-        // results gate progress), the pre-handler trio rides the prolog
-        // flush barrier, and the response tail flushes once — so a
-        // request's ~11 crossings collapse to 4.
+        // syscall trace of a Go HTTP server.
         let parse_ns = cfg.parse_ns;
-        let batched = cfg.batched_io || cfg.async_io;
-        let async_io = cfg.async_io;
         rt.register_fn("nethttp.ServeOne", move |ctx, arg: GoValue| {
             let listen_fd = u32::try_from(arg.as_int()?).expect("fd fits u32");
-            let sys = |e: SysError| match e {
-                SysError::Fault(f) => f,
-                // Keep the errno's identity so callers can tell a
-                // transient kernel condition from a broken build.
-                SysError::Errno(e) => Fault::Errno(e),
-            };
             let conn = match ctx.lb_mut().sys_accept(listen_fd) {
                 Ok(fd) => fd,
                 Err(SysError::Errno(_)) => return Ok(GoValue::Bool(false)), // no pending conn
-                Err(e) => return Err(sys(e)),
+                Err(e) => return Err(e.into()),
             };
-            // Pre-handler tokens under async submission: the prolog
-            // barrier of the enclosed call flushes them, and the tail
-            // poll below reaps them with the rest.
-            let mut tokens = Vec::new();
-            if async_io {
-                tokens.push(ctx.lb_mut().batch_submit(0, BatchOp::ClockGettime)?);
-            // read deadline
-            } else if batched {
-                ctx.lb_mut().batch_enqueue(0, BatchOp::ClockGettime)?; // read deadline
-            } else {
-                ctx.lb_mut().sys_clock_gettime().map_err(sys)?; // read deadline
-            }
-            let head = ctx.lb_mut().sys_recv(conn, 4096).map_err(sys)?;
-            if async_io {
-                tokens.push(ctx.lb_mut().batch_submit(0, BatchOp::ClockGettime)?); // write deadline
-                ctx.compute(parse_ns);
-                tokens.push(ctx.lb_mut().batch_submit(0, BatchOp::Futex)?); // netpoller wakeup
-            } else if batched {
-                ctx.lb_mut().batch_enqueue(0, BatchOp::ClockGettime)?; // write deadline
-                ctx.compute(parse_ns);
-                ctx.lb_mut().batch_enqueue(0, BatchOp::Futex)?; // netpoller wakeup
-            } else {
-                ctx.lb_mut().sys_clock_gettime().map_err(sys)?; // write deadline
-                ctx.compute(parse_ns);
-                ctx.lb_mut().sys_futex().map_err(sys)?; // netpoller wakeup
-            }
+            ctx.lb_mut().sys_clock_gettime()?; // read deadline
+            let head = ctx.lb_mut().sys_recv(conn, 4096)?;
+            ctx.lb_mut().sys_clock_gettime()?; // write deadline
+            ctx.compute(parse_ns);
+            ctx.lb_mut().sys_futex()?; // netpoller wakeup
 
             let response = ctx
                 .call_enclosed("handler_enc", GoValue::Bytes(head))?
                 .as_bytes()?;
             let (headers, body) = response.split_at(response.len().min(128));
-            if async_io {
-                // Completion-driven: submit for tokens, then reap by
-                // poll. The single-threaded serve loop has no peer
-                // goroutines to overlap with, so a drain flush stands
-                // in for the scheduler's adaptive deadline when the
-                // request must retire before a trigger fires.
-                let lb = ctx.lb_mut();
-                let tail = [
-                    BatchOp::Send {
-                        fd: conn,
-                        data: headers.to_vec(),
-                    },
-                    BatchOp::Send {
-                        fd: conn,
-                        data: body.to_vec(),
-                    },
-                    BatchOp::ClockGettime, // access log
-                    BatchOp::Close { fd: conn },
-                    BatchOp::Futex,  // conn teardown wake
-                    BatchOp::Getpid, // log pid
-                ];
-                for op in tail {
-                    tokens.push(lb.batch_submit(0, op)?);
-                }
-                if !lb.batch_is_complete(*tokens.last().expect("six ops")) {
-                    lb.batch_flush_drain()?;
-                }
-                for t in tokens {
-                    match lb.batch_poll(t) {
-                        Some(c) => {
-                            if let Err(e) = c.result {
-                                return Err(Fault::Errno(e));
-                            }
-                        }
-                        None => return Err(Fault::Init("submitted op lost its completion".into())),
-                    }
-                }
-            } else if batched {
-                let lb = ctx.lb_mut();
-                lb.batch_enqueue(
-                    0,
-                    BatchOp::Send {
-                        fd: conn,
-                        data: headers.to_vec(),
-                    },
-                )?;
-                lb.batch_enqueue(
-                    0,
-                    BatchOp::Send {
-                        fd: conn,
-                        data: body.to_vec(),
-                    },
-                )?;
-                lb.batch_enqueue(0, BatchOp::ClockGettime)?; // access log
-                lb.batch_enqueue(0, BatchOp::Close { fd: conn })?;
-                lb.batch_enqueue(0, BatchOp::Futex)?; // conn teardown wake
-                lb.batch_enqueue(0, BatchOp::Getpid)?; // log pid
-                lb.batch_flush()?;
-                for c in lb.batch_take_completions() {
-                    if let Err(e) = c.result {
-                        return Err(Fault::Errno(e));
-                    }
-                }
-            } else {
-                ctx.lb_mut().sys_send(conn, headers).map_err(sys)?;
-                ctx.lb_mut().sys_send(conn, body).map_err(sys)?;
-                ctx.lb_mut().sys_clock_gettime().map_err(sys)?; // access log
-                ctx.lb_mut().sys_close(conn).map_err(sys)?;
-                ctx.lb_mut().sys_futex().map_err(sys)?; // conn teardown wake
-                ctx.lb_mut().sys_getpid().map_err(sys)?; // log pid
-            }
+            ctx.lb_mut().sys_send(conn, headers)?;
+            ctx.lb_mut().sys_send(conn, body)?;
+            ctx.lb_mut().sys_clock_gettime()?; // access log
+            ctx.lb_mut().sys_close(conn)?;
+            ctx.lb_mut().sys_futex()?; // conn teardown wake
+            ctx.lb_mut().sys_getpid()?; // log pid
             Ok(GoValue::Bool(true))
         });
-
-        if cfg.async_io {
-            rt.lb_mut().enable_async_gateway();
-        } else if cfg.batched_io {
-            rt.lb_mut().enable_batching();
-        }
 
         // Bind + listen (trusted setup).
         let listen_fd = rt
@@ -429,62 +311,6 @@ mod tests {
             "VT-x pays the VM EXITs: {vtx_slowdown:.3}"
         );
         assert!(vtx_slowdown > mpk_slowdown);
-    }
-
-    #[test]
-    fn batched_io_serves_pages_and_amortizes_crossings() {
-        let batched_cfg = HttpConfig {
-            batched_io: true,
-            ..HttpConfig::default()
-        };
-        for backend in [Backend::Mpk, Backend::Vtx] {
-            let mut plain = HttpApp::new(backend, HttpConfig::default()).unwrap();
-            plain.runtime_mut().lb_mut().clock_mut().reset();
-            plain.serve_requests(10).unwrap();
-            let mut batched = HttpApp::new(backend, batched_cfg).unwrap();
-            batched.runtime_mut().lb_mut().clock_mut().reset();
-            let stats = batched.serve_requests(10).unwrap();
-            assert_eq!(stats.served, 10, "{backend}");
-            let plain_stats = plain.runtime().lb().stats();
-            let batched_stats = batched.runtime().lb().stats();
-            match backend {
-                Backend::Vtx => assert!(
-                    batched_stats.vm_exits * 2 <= plain_stats.vm_exits,
-                    "batched VM EXITs at least halve: {} vs {}",
-                    batched_stats.vm_exits,
-                    plain_stats.vm_exits
-                ),
-                _ => assert!(
-                    batched_stats.seccomp_checks < plain_stats.seccomp_checks,
-                    "batched seccomp evaluations strictly fewer: {} vs {}",
-                    batched_stats.seccomp_checks,
-                    plain_stats.seccomp_checks
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn async_io_serves_pages_and_reaps_every_token() {
-        let async_cfg = HttpConfig {
-            async_io: true,
-            ..HttpConfig::default()
-        };
-        for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-            let mut app = HttpApp::new(backend, async_cfg).unwrap();
-            app.runtime_mut().lb_mut().clock_mut().reset();
-            let stats = app.serve_requests(10).unwrap();
-            assert_eq!(stats.served, 10, "{backend}");
-            // Every submitted op was reaped by poll inside ServeOne;
-            // nothing lingers in the completion ring.
-            assert!(
-                app.runtime_mut()
-                    .lb_mut()
-                    .batch_take_completions()
-                    .is_empty(),
-                "{backend}: completion ring drained by per-token polls"
-            );
-        }
     }
 
     #[test]

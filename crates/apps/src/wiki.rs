@@ -21,7 +21,7 @@ use enclosure_gofront::{sched::Recv, GoProgram, GoRuntime, GoSource, GoValue, St
 use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
 use enclosure_telemetry::{Event, Histogram};
-use litterbox::{Backend, Fault, SysError};
+use litterbox::{Backend, BatchOp, Fault, IoMode, SysError};
 
 use crate::chaos::{render_unavailable, retry_transient, ChaosTally};
 use crate::client::Clients;
@@ -39,15 +39,6 @@ pub const PQ_BREAKER_THRESHOLD: u32 = 3;
 /// probes the database again (a closed-loop recovery: a successful probe
 /// closes the breaker, a failed one re-opens it for another cooldown).
 pub const PQ_BREAKER_COOLDOWN: u32 = 16;
-
-fn io_fault(e: SysError) -> Fault {
-    match e {
-        SysError::Fault(f) => f,
-        // Keep the errno's identity so callers can tell a transient
-        // kernel condition from a broken build.
-        SysError::Errno(e) => Fault::Errno(e),
-    }
-}
 
 /// Request `i` of a serve call: even ones view the home page, odd ones
 /// save a note.
@@ -79,8 +70,6 @@ pub struct WikiApp {
     /// The simulated Postgres page store, for assertions.
     pub db: Shared<HashMap<String, String>>,
     latency: Shared<Histogram>,
-    batched_io: bool,
-    async_io: bool,
     /// Completed `serve_requests` calls. Each call listens on its own
     /// port (`WIKI_PORT + calls`), because the previous call's listener
     /// stays bound in the simulated kernel — this is what lets a fleet
@@ -141,26 +130,18 @@ impl WikiApp {
             rt,
             db,
             latency: Shared::default(),
-            batched_io: false,
-            async_io: false,
             serve_calls: 0,
         })
     }
 
-    /// Routes the server's deferrable reply tail (send + close) through
-    /// the batched gateway; the scheduler flushes once per quantum. Off
-    /// by default — §6.3 measures the unbatched trace.
-    pub fn set_batched_io(&mut self, on: bool) {
-        self.batched_io = on;
-    }
-
-    /// Runs the batched gateway in completion-driven mode: an adaptive
-    /// flush policy replaces the per-quantum flush, so reply tails
+    /// Sets how the server issues its deferrable reply tail (send +
+    /// close) on this app's machine. `Immediate` by default — §6.3
+    /// measures the unbatched trace; `Quantum` pays one crossing per
+    /// flushed quantum; the fleet serves `Adaptive`, where reply tails
     /// accumulate until a size/deadline trigger or an environment
-    /// switch barrier pays the single charged crossing. Implies
-    /// batching.
-    pub fn set_async_io(&mut self, on: bool) {
-        self.async_io = on;
+    /// switch barrier pays the single charged crossing.
+    pub fn set_io_mode(&mut self, mode: IoMode) {
+        self.rt.lb_mut().set_io_mode(mode);
     }
 
     /// The runtime.
@@ -195,18 +176,12 @@ impl WikiApp {
         let reply_ch = self.rt.make_chan(64); // ○7
         let tally: Shared<ChaosTally> = Shared::default();
         let pq_enclosure = self.rt.enclosure("pq_enc").map_or(0, |e| e.id.0);
-        let batched = self.batched_io || self.async_io;
         // First call keeps the paper's port; later calls (fleet batch
         // serving) each take a fresh one, since old listeners stay
         // bound. The wrap keeps the port a u16 without colliding for
         // any realistic number of calls.
         let port = WIKI_PORT + u16::try_from(self.serve_calls % 40_000).expect("bounded");
         self.serve_calls += 1;
-        if self.async_io {
-            self.rt.lb_mut().enable_async_gateway();
-        } else if batched {
-            self.rt.lb_mut().enable_batching();
-        }
 
         // ○B: enclosed HTTP server. Under fault injection it degrades
         // instead of dying: transient errnos retry in place, a request
@@ -238,7 +213,7 @@ impl WikiApp {
                             Ok(fd) => listen = Some(fd),
                             // Retry the whole setup next round.
                             Err(e) if e.is_transient() => {}
-                            Err(e) => return Err(io_fault(e)),
+                            Err(e) => return Err(e.into()),
                         }
                         return Ok(Step::Yield);
                     }
@@ -288,7 +263,7 @@ impl WikiApp {
                                             .record(Event::RequestServed { ns, ok: false });
                                     }
                                 }
-                                Err(e) => return Err(io_fault(e)),
+                                Err(e) => return Err(e.into()),
                             }
                         }
                         Err(SysError::Errno(_)) => {}
@@ -296,7 +271,7 @@ impl WikiApp {
                         // VM EXIT) before any connection state exists:
                         // nothing to degrade, try again next round.
                         Err(e) if e.is_transient() => {}
-                        Err(e) => return Err(io_fault(e)),
+                        Err(e) => return Err(e.into()),
                     }
                 }
                 match ctx.chan_recv(reply_ch)? {
@@ -304,30 +279,21 @@ impl WikiApp {
                         let mut parts = v.into_tuple()?;
                         let response = parts.pop().unwrap_or_default().into_bytes()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
-                        let sent = (|| -> Result<(), SysError> {
-                            if batched {
-                                // The reply tail is deferrable: queue it
-                                // and let the quantum boundary pay one
-                                // crossing for every reply in the round.
-                                let sub = u64::from(conn);
-                                let lb = ctx.lb_mut();
-                                lb.batch_enqueue(
-                                    sub,
-                                    litterbox::BatchOp::Send {
-                                        fd: conn,
-                                        data: response.to_vec(),
-                                    },
-                                )
-                                .map_err(SysError::Fault)?;
-                                lb.batch_enqueue(sub, litterbox::BatchOp::Close { fd: conn })
-                                    .map_err(SysError::Fault)?;
-                                return Ok(());
-                            }
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_send(conn, &response))?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_close(conn))?;
-                            Ok(())
-                        })();
                         let mut ok = !response.starts_with(b"HTTP/1.1 503");
+                        // The reply tail is deferrable: it issues
+                        // through the gateway, retrying transient
+                        // errors in place.
+                        let sub = u64::from(conn);
+                        let tail = [
+                            BatchOp::Send {
+                                fd: conn,
+                                data: response,
+                            },
+                            BatchOp::Close { fd: conn },
+                        ];
+                        let sent = tail.iter().try_for_each(|op| {
+                            retry_transient(&srv_tally, || ctx.lb_mut().submit(sub, op)).map(drop)
+                        });
                         match sent {
                             Ok(()) => {}
                             Err(e) if e.is_transient() => {
@@ -341,7 +307,7 @@ impl WikiApp {
                                 }
                                 ok = false;
                             }
-                            Err(e) => return Err(io_fault(e)),
+                            Err(e) => return Err(e.into()),
                         }
                         if let Some(t0) = accept_ns.remove(&conn) {
                             let ns = ctx.lb().now_ns() - t0;
@@ -452,7 +418,7 @@ impl WikiApp {
                         }
                         // Retry the connection next round.
                         Err(e) if e.is_transient() => {}
-                        Err(e) => return Err(io_fault(e)),
+                        Err(e) => return Err(e.into()),
                     }
                     return Ok(Step::Yield);
                 }
@@ -496,7 +462,7 @@ impl WikiApp {
                                 }
                                 "E unavailable".to_owned()
                             }
-                            Err(e) => return Err(io_fault(e)),
+                            Err(e) => return Err(e.into()),
                         }
                     };
                     ctx.chan_send(
@@ -517,11 +483,9 @@ impl WikiApp {
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
-        if batched {
-            // Per-entry errors are contained in their completions; the
-            // drain keeps the ring bounded across serve calls.
-            let _ = self.rt.lb_mut().batch_take_completions();
-        }
+        // Per-entry errors are contained in their completions; the
+        // drain keeps the ring bounded across serve calls.
+        let _ = self.rt.lb_mut().take_completions();
         let ns = self.rt.lb().now_ns() - t0;
         let tally = *tally.borrow();
         let served = n - tally.degraded;
@@ -565,59 +529,44 @@ mod tests {
     }
 
     #[test]
-    fn batched_io_serves_the_same_pages_with_fewer_crossings() {
-        for backend in [Backend::Mpk, Backend::Vtx] {
+    fn queued_io_serves_the_same_pages_with_fewer_crossings() {
+        for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
             let mut plain = WikiApp::new(backend).unwrap();
             plain.runtime_mut().lb_mut().clock_mut().reset();
             let p = plain.serve_requests(10).unwrap();
-            let ps = plain.runtime_mut().lb_mut().clock_mut().stats();
+            let ps = plain.runtime().lb().stats();
 
-            let mut fast = WikiApp::new(backend).unwrap();
-            fast.set_batched_io(true);
-            fast.runtime_mut().lb_mut().clock_mut().reset();
-            let b = fast.serve_requests(10).unwrap();
-            let bs = fast.runtime_mut().lb_mut().clock_mut().stats();
+            for mode in [IoMode::Quantum, IoMode::Adaptive] {
+                let mut fast = WikiApp::new(backend).unwrap();
+                fast.runtime_mut().lb_mut().clock_mut().reset();
+                fast.set_io_mode(mode);
+                let b = fast.serve_requests(10).unwrap();
+                let bs = fast.runtime().lb().stats();
 
-            assert_eq!(b.served, p.served, "{backend}: same work either way");
-            assert!(
-                fast.db.borrow().keys().any(|k| k.starts_with("Note")),
-                "{backend}: POSTs still land"
-            );
-            match backend {
-                Backend::Vtx => assert!(
-                    bs.vm_exits < ps.vm_exits,
-                    "{backend}: batching must reduce VM EXITs ({} vs {})",
-                    bs.vm_exits,
-                    ps.vm_exits
-                ),
-                _ => assert!(
-                    bs.seccomp_checks < ps.seccomp_checks,
-                    "{backend}: batching must reduce seccomp evaluations ({} vs {})",
-                    bs.seccomp_checks,
-                    ps.seccomp_checks
-                ),
+                assert_eq!(
+                    b.served, p.served,
+                    "{backend} {mode:?}: same work either way"
+                );
+                assert!(
+                    fast.db.borrow().keys().any(|k| k.starts_with("Note")),
+                    "{backend} {mode:?}: POSTs still land"
+                );
+                assert_eq!(
+                    fast.runtime().lb().pending_submissions(),
+                    0,
+                    "{backend} {mode:?}: nothing left queued"
+                );
+                let (batched, unbatched) = match backend {
+                    Backend::Vtx => (bs.vm_exits, ps.vm_exits),
+                    Backend::Mpk => (bs.seccomp_checks, ps.seccomp_checks),
+                    _ => (bs.ipc_roundtrips, ps.ipc_roundtrips),
+                };
+                assert!(
+                    batched < unbatched,
+                    "{backend} {mode:?}: batching must reduce charged crossings \
+                     ({batched} vs {unbatched})"
+                );
             }
-        }
-    }
-
-    #[test]
-    fn async_io_serves_the_same_pages_as_batched() {
-        for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-            let mut sync = WikiApp::new(backend).unwrap();
-            sync.set_batched_io(true);
-            sync.runtime_mut().lb_mut().clock_mut().reset();
-            let s = sync.serve_requests(10).unwrap();
-
-            let mut fut = WikiApp::new(backend).unwrap();
-            fut.set_async_io(true);
-            fut.runtime_mut().lb_mut().clock_mut().reset();
-            let a = fut.serve_requests(10).unwrap();
-
-            assert_eq!(a.served, s.served, "{backend}: same work either way");
-            assert!(
-                fut.db.borrow().keys().any(|k| k.starts_with("Note")),
-                "{backend}: POSTs still land under the async gateway"
-            );
         }
     }
 
@@ -634,10 +583,10 @@ mod tests {
         let rt = app.runtime_mut();
         rt.register_fn("pq.Proxy", move |ctx, _arg| {
             // Allowed: the pre-defined Postgres socket.
-            let c = pq::connect(ctx.lb_mut()).map_err(io_fault)?;
+            let c = pq::connect(ctx.lb_mut())?;
             let _ = c;
             // Denied: anything else.
-            let fd = ctx.lb_mut().sys_socket().map_err(io_fault)?;
+            let fd = ctx.lb_mut().sys_socket()?;
             let err = ctx.lb_mut().sys_connect(fd, evil).unwrap_err();
             assert!(err.is_fault(), "connect allowlist enforced");
             Ok(GoValue::Unit)

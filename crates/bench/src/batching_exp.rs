@@ -26,7 +26,7 @@ use enclosure_apps::fasthttp::{FastHttpApp, FastHttpConfig};
 use enclosure_hw::CostModel;
 use enclosure_support::Json;
 use enclosure_telemetry::Histogram;
-use litterbox::{Backend, Fault};
+use litterbox::{Backend, Fault, IoMode};
 
 /// One (backend, mode) arm's ledger after serving the workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,14 +174,22 @@ impl BatchingReport {
     }
 }
 
+/// Serves `requests` on a fresh `backend` machine with `workers`
+/// enclosed server goroutines, issuing deferrable syscalls in mode `io`.
 fn run_arm(
     backend: Backend,
     mode: &'static str,
     requests: u64,
-    cfg: FastHttpConfig,
+    workers: usize,
+    io: IoMode,
 ) -> Result<BatchingArm, Fault> {
     let mut app = FastHttpApp::new(backend)?;
     app.runtime_mut().lb_mut().clock_mut().reset();
+    app.set_io_mode(io);
+    let cfg = FastHttpConfig {
+        workers,
+        ..FastHttpConfig::default()
+    };
     let t0 = app.runtime().lb().now_ns();
     let stats = app.serve_requests(requests, cfg)?;
     let sim_ns = app.runtime().lb().now_ns() - t0;
@@ -198,7 +206,7 @@ fn run_arm(
     Ok(BatchingArm {
         backend,
         mode,
-        batched: cfg.batched_io || cfg.async_io,
+        batched: io != IoMode::Immediate,
         requests: stats.served,
         vm_exits: hw.vm_exits,
         seccomp_checks: hw.seccomp_checks,
@@ -222,7 +230,8 @@ fn run_arm(
 /// Runs all twelve arms with `requests` each: the six sequential
 /// (backend × unbatched/batched) arms, then the six 8-worker
 /// concurrency arms pitting the quantum-flushed gateway (`batched_c8`)
-/// against the completion-driven reactor (`async_c8`).
+/// against the completion-driven reactor (`async_c8`, its flush policy
+/// sized from the fresh machine's histograms).
 ///
 /// # Errors
 ///
@@ -230,28 +239,24 @@ fn run_arm(
 pub fn run(requests: u64) -> Result<BatchingReport, Fault> {
     let mut arms = Vec::new();
     for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-        for batched in [false, true] {
-            let cfg = FastHttpConfig {
-                batched_io: batched,
-                ..FastHttpConfig::default()
-            };
-            let mode = if batched { "batched" } else { "unbatched" };
-            arms.push(run_arm(backend, mode, requests, cfg)?);
-        }
+        arms.push(run_arm(
+            backend,
+            "unbatched",
+            requests,
+            1,
+            IoMode::Immediate,
+        )?);
+        arms.push(run_arm(backend, "batched", requests, 1, IoMode::Quantum)?);
     }
     for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-        let sync_c8 = FastHttpConfig {
-            batched_io: true,
-            workers: 8,
-            ..FastHttpConfig::default()
-        };
-        arms.push(run_arm(backend, "batched_c8", requests, sync_c8)?);
-        let async_c8 = FastHttpConfig {
-            async_io: true,
-            workers: 8,
-            ..FastHttpConfig::default()
-        };
-        arms.push(run_arm(backend, "async_c8", requests, async_c8)?);
+        arms.push(run_arm(
+            backend,
+            "batched_c8",
+            requests,
+            8,
+            IoMode::Quantum,
+        )?);
+        arms.push(run_arm(backend, "async_c8", requests, 8, IoMode::Adaptive)?);
     }
     Ok(BatchingReport { requests, arms })
 }

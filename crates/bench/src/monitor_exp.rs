@@ -30,7 +30,7 @@ use enclosure_fleet::{
 };
 use enclosure_hw::InjectionPlan;
 use enclosure_telemetry::{FlightRecording, SloPolicy, DEFAULT_WINDOW_NS};
-use litterbox::{Backend, Fault};
+use litterbox::{Backend, Fault, IoMode};
 
 use crate::chaos_exp;
 
@@ -164,7 +164,6 @@ const FLIGHTREC_DEPTH: usize = 8;
 pub fn flightrec(seed: u64) -> Result<FlightRecording, Fault> {
     let backend = Backend::Mpk;
     let mut app = WikiApp::new(backend)?;
-    app.set_async_io(true);
     {
         let clock = app.runtime_mut().lb_mut().clock_mut();
         let rec = clock.recorder_mut();
@@ -175,6 +174,7 @@ pub fn flightrec(seed: u64) -> Result<FlightRecording, Fault> {
         let sites = chaos_exp::sites_for(backend);
         clock.arm_injection(InjectionPlan::new(seed, FLIGHTREC_RATE_PPM).with_sites(&sites));
     }
+    app.set_io_mode(IoMode::Adaptive);
     app.serve_requests(FLIGHTREC_REQUESTS)?;
     let recording = app
         .runtime()

@@ -9,7 +9,7 @@ use enclosure_apps::wiki::WikiApp;
 use enclosure_hw::InjectionPlan;
 use enclosure_support::XorShift;
 use enclosure_telemetry::{Histogram, MetricsWindow, Recorder, WindowRing};
-use litterbox::{Backend, Fault, LitterBox};
+use litterbox::{Backend, Fault, IoMode, LitterBox};
 
 use crate::monitor::MonitorConfig;
 
@@ -19,10 +19,7 @@ use crate::monitor::MonitorConfig;
 /// gateway) stays inside the app. `Send` because the parallel fleet
 /// engine executes each shard's planned window on a worker thread.
 pub trait Workload: Send {
-    /// Builds a fresh instance on `backend` with the completion-driven
-    /// gateway enabled (the fleet always serves over the reactor: an
-    /// adaptive flush policy decides when accumulated batches cross,
-    /// instead of a flush every scheduler quantum).
+    /// Builds a fresh instance on `backend`.
     ///
     /// # Errors
     /// Propagates any [`Fault`] raised while declaring the app.
@@ -30,8 +27,12 @@ pub trait Workload: Send {
     where
         Self: Sized;
 
-    /// Serves `n` requests, returning the app's accounting
-    /// (`served + degraded == n`).
+    /// Serves `n` requests over the completion-driven gateway,
+    /// returning the app's accounting (`served + degraded == n`). The
+    /// fleet always serves [`IoMode::Adaptive`], its flush policy
+    /// re-sized from the machine's own histograms before every batch,
+    /// so accumulated batches cross on the policy's triggers instead of
+    /// every scheduler quantum.
     ///
     /// # Errors
     /// Propagates a fatal [`Fault`] (transients degrade internally).
@@ -49,12 +50,11 @@ pub trait Workload: Send {
 
 impl Workload for WikiApp {
     fn build(backend: Backend) -> Result<Self, Fault> {
-        let mut app = WikiApp::new(backend)?;
-        app.set_async_io(true);
-        Ok(app)
+        WikiApp::new(backend)
     }
 
     fn serve(&mut self, n: u64) -> Result<ServeStats, Fault> {
+        self.set_io_mode(IoMode::Adaptive);
         self.serve_requests(n)
     }
 
@@ -80,8 +80,8 @@ impl Workload for FastHttpApp {
         // Completion-driven reply tails under worker concurrency: the
         // workers park on their submission tokens and the adaptive
         // flush (or a switch barrier) pays one crossing per batch.
+        self.set_io_mode(IoMode::Adaptive);
         let cfg = FastHttpConfig {
-            async_io: true,
             workers: 4,
             ..FastHttpConfig::default()
         };

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use enclosure_hw::CostModel;
 use enclosure_kernel::Kernel;
 use enclosure_vmem::Addr;
-use litterbox::{Backend, EnvContext, Fault, LitterBox, TRUSTED_ENV};
+use litterbox::{Backend, EnvContext, Fault, FlushReason, LitterBox, TRUSTED_ENV};
 
 use crate::alloc::{AllocStats, SpanAllocator};
 use crate::compile::compile;
@@ -355,7 +355,7 @@ impl GoRuntime {
             // parked peers whose completions this quantum's flush posted
             // are woken before the span closes.
             if let Ok(Step::Park(token)) = step {
-                if !self.lb.batch_is_complete(token) {
+                if !self.lb.is_complete(token) {
                     self.lb
                         .clock_mut()
                         .record(enclosure_telemetry::Event::GoPark {
@@ -384,7 +384,7 @@ impl GoRuntime {
                 }
                 Step::Park(token) => {
                     self.sched.goroutines[gid] = Some(g);
-                    if self.lb.batch_is_complete(token) {
+                    if self.lb.is_complete(token) {
                         // The flush above already posted this token's
                         // completion: skip the park, stay runnable.
                         self.sched.runq.push_back(gid);
@@ -427,42 +427,27 @@ impl GoRuntime {
         Ok(())
     }
 
-    /// Flushes the batched syscall gateway at the quantum boundary —
-    /// the designated flush point of the batching fast path. A
-    /// transient whole-flush fault (an injected lost crossing) is
-    /// retried once with injection suspended, mirroring
-    /// [`GoRuntime::execute_contained`]: the scheduler must drain the
-    /// batch for the rest of the program to make progress, and the
-    /// retry services every queued entry exactly once.
+    /// Runs the flush the machine's I/O mode owes at a quantum boundary
+    /// ([`LitterBox::flush_due`]): the per-quantum flush under
+    /// `Quantum`, a due deadline flush under `Adaptive` (the size
+    /// trigger fires inside `submit`, and the switch barriers still
+    /// bound every batch's lifetime), nothing under `Immediate`.
     fn flush_quantum_batch(&mut self) -> Result<(), Fault> {
-        if self.lb.batch_pending() == 0 {
-            return Ok(());
+        match self.lb.flush_due() {
+            Some(reason) => self.contained_flush(reason),
+            None => Ok(()),
         }
-        if self.lb.flush_policy().is_some() {
-            // Reactor mode: the batch accumulates across quanta and
-            // flushes only when the policy's deadline trigger is due
-            // (the size trigger fires inside `batch_submit`, and the
-            // switch barriers still bound every batch's lifetime).
-            if !self.lb.batch_flush_due() {
-                return Ok(());
-            }
-            return self.contained_flush(litterbox::LitterBox::batch_flush_deadline);
-        }
-        self.contained_flush(litterbox::LitterBox::batch_flush_quantum)
     }
 
-    /// Runs one flush entry point with the transient-fault containment
-    /// the scheduler owes the program: a lost crossing is retried once
-    /// with injection suspended, so every queued entry completes
-    /// exactly once.
-    fn contained_flush(
-        &mut self,
-        flush: impl Fn(&mut LitterBox) -> Result<usize, Fault>,
-    ) -> Result<(), Fault> {
-        match flush(&mut self.lb) {
+    /// Flushes with the transient-fault containment the scheduler owes
+    /// the program, mirroring [`GoRuntime::execute_contained`]: a lost
+    /// crossing is retried once with injection suspended, so every
+    /// queued entry completes exactly once.
+    fn contained_flush(&mut self, reason: FlushReason) -> Result<(), Fault> {
+        match self.lb.flush(reason) {
             Err(fault) if fault.is_transient() => {
                 self.lb.clock_mut().suspend_injection();
-                let retried = flush(&mut self.lb);
+                let retried = self.lb.flush(reason);
                 self.lb.clock_mut().resume_injection();
                 retried.map(|_| ())
             }
@@ -478,7 +463,7 @@ impl GoRuntime {
         let mut i = 0;
         while i < self.sched.parked.len() {
             let (gid, token) = self.sched.parked[i];
-            if self.lb.batch_is_complete(token) {
+            if self.lb.is_complete(token) {
                 self.sched.parked.remove(i);
                 self.lb
                     .clock_mut()
@@ -513,7 +498,7 @@ impl GoRuntime {
                 enclosure_telemetry::SpanScope::new("reactor.drain", GO_SCHED_PKG, env),
             );
         }
-        let flushed = self.contained_flush(litterbox::LitterBox::batch_flush_drain);
+        let flushed = self.contained_flush(FlushReason::Drain);
         let woken = self.wake_parked();
         self.end_quantum_span();
         flushed?;
@@ -1128,7 +1113,7 @@ mod tests {
             "proc",
         ));
         let mut rt = p.build(Backend::Vtx).unwrap();
-        rt.lb_mut().enable_batching();
+        rt.lb_mut().set_io_mode(litterbox::IoMode::Quantum);
         let mut rounds = 0u64;
         rt.spawn_enclosed("batcher", "rcl", move |ctx| {
             if rounds == 3 {
@@ -1138,15 +1123,19 @@ mod tests {
             // Three descriptors per quantum; the scheduler flushes them
             // in one charged crossing at the quantum boundary.
             for _ in 0..3 {
-                ctx.lb_mut().batch_enqueue(1, litterbox::BatchOp::Getuid)?;
+                ctx.lb_mut().submit(1, litterbox::BatchOp::Getuid)?;
             }
             Ok(Step::Yield)
         })
         .unwrap();
         let before = rt.lb().stats().vm_exits;
         rt.run_scheduler().unwrap();
-        assert_eq!(rt.lb_mut().batch_pending(), 0, "no quantum leaves a batch");
-        let done = rt.lb_mut().batch_take_completions();
+        assert_eq!(
+            rt.lb().pending_submissions(),
+            0,
+            "no quantum leaves a batch"
+        );
+        let done = rt.lb_mut().take_completions();
         assert_eq!(done.len(), 9);
         assert!(done.iter().all(|c| c.result.is_ok()));
         // 9 syscalls, but only one VM EXIT per non-empty quantum (3).

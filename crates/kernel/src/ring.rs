@@ -15,6 +15,7 @@
 //! `Result` — one entry failing with an errno never poisons the rest of
 //! the batch (containment).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use enclosure_hw::Clock;
@@ -140,8 +141,30 @@ impl BatchOp {
             BatchOp::Close { fd } | BatchOp::Accept { fd } => {
                 SyscallRecord::with_args(self.sysno(), [u64::from(*fd), 0, 0, 0, 0, 0])
             }
-            _ => SyscallRecord::new(self.sysno()),
+            BatchOp::Open { flags, .. } => {
+                SyscallRecord::with_args(self.sysno(), [0, flags.to_bits(), 0, 0, 0, 0])
+            }
+            BatchOp::Nanosleep(ns) => SyscallRecord::with_args(self.sysno(), [*ns, 0, 0, 0, 0, 0]),
+            BatchOp::Getuid
+            | BatchOp::Getpid
+            | BatchOp::ClockGettime
+            | BatchOp::Futex
+            | BatchOp::Stat { .. }
+            | BatchOp::Socket => SyscallRecord::new(self.sysno()),
         }
+    }
+}
+
+// Lets a submission take an op by value or lend it (`&BatchOp`).
+impl From<BatchOp> for Cow<'_, BatchOp> {
+    fn from(op: BatchOp) -> Self {
+        Cow::Owned(op)
+    }
+}
+
+impl<'a> From<&'a BatchOp> for Cow<'a, BatchOp> {
+    fn from(op: &'a BatchOp) -> Self {
+        Cow::Borrowed(op)
     }
 }
 
@@ -237,6 +260,20 @@ impl SyscallRing {
     /// Posts a completion.
     pub fn complete(&mut self, completion: Completion) {
         self.cq.push_back(completion);
+    }
+
+    /// Posts the completion of an entry that was serviced at submission
+    /// time, without ever queueing it; returns its sequence number.
+    pub fn post(&mut self, submitter: u64, sysno: Sysno, result: Result<BatchReply, Errno>) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.complete(Completion {
+            seq,
+            submitter,
+            sysno,
+            result,
+        });
+        seq
     }
 
     /// Reaps all pending completions, in service (= submission) order.
@@ -385,16 +422,73 @@ mod tests {
 
     #[test]
     fn records_mirror_the_synchronous_gateway_shape() {
-        let op = BatchOp::Connect {
-            fd: 5,
-            addr: SockAddr::local(80),
+        // One entry per variant: the record the synchronous gateway
+        // (`LitterBox::sys_*`) builds for the same call.
+        let flags = OpenFlags::write_create();
+        let fd_args = |sysno, fd: u32, len: u64| {
+            SyscallRecord::with_args(sysno, [u64::from(fd), 0, len, 0, 0, 0])
         };
-        assert_eq!(op.record(), SyscallRecord::connect(5, SockAddr::local(80)));
-        let send = BatchOp::Send {
-            fd: 3,
-            data: vec![0; 100],
-        };
-        assert_eq!(send.record().args[2], 100);
+        let cases = [
+            (BatchOp::Getuid, SyscallRecord::new(Sysno::Getuid)),
+            (BatchOp::Getpid, SyscallRecord::new(Sysno::Getpid)),
+            (
+                BatchOp::ClockGettime,
+                SyscallRecord::new(Sysno::ClockGettime),
+            ),
+            (
+                BatchOp::Nanosleep(750),
+                SyscallRecord::with_args(Sysno::Nanosleep, [750, 0, 0, 0, 0, 0]),
+            ),
+            (BatchOp::Futex, SyscallRecord::new(Sysno::Futex)),
+            (
+                BatchOp::Open {
+                    path: "/data/x".into(),
+                    flags,
+                },
+                SyscallRecord::with_args(Sysno::Open, [0, flags.to_bits(), 0, 0, 0, 0]),
+            ),
+            (
+                BatchOp::Stat {
+                    path: "/data/x".into(),
+                },
+                SyscallRecord::new(Sysno::Stat),
+            ),
+            (
+                BatchOp::Read { fd: 4, len: 64 },
+                fd_args(Sysno::Read, 4, 64),
+            ),
+            (
+                BatchOp::Write {
+                    fd: 4,
+                    data: vec![0; 9],
+                },
+                fd_args(Sysno::Write, 4, 9),
+            ),
+            (BatchOp::Close { fd: 4 }, fd_args(Sysno::Close, 4, 0)),
+            (BatchOp::Socket, SyscallRecord::new(Sysno::Socket)),
+            (BatchOp::Accept { fd: 6 }, fd_args(Sysno::Accept, 6, 0)),
+            (
+                BatchOp::Connect {
+                    fd: 5,
+                    addr: SockAddr::local(80),
+                },
+                SyscallRecord::connect(5, SockAddr::local(80)),
+            ),
+            (
+                BatchOp::Send {
+                    fd: 3,
+                    data: vec![0; 100],
+                },
+                fd_args(Sysno::Sendto, 3, 100),
+            ),
+            (
+                BatchOp::Recv { fd: 3, len: 512 },
+                fd_args(Sysno::Recvfrom, 3, 512),
+            ),
+        ];
+        for (op, expected) in cases {
+            assert_eq!(op.record(), expected, "{op:?}");
+        }
     }
 
     #[test]

@@ -196,6 +196,19 @@ impl From<Fault> for SysError {
     }
 }
 
+/// A gated call's error as a program-aborting fault: policy faults pass
+/// through, and an errno keeps its identity as [`Fault::Errno`] so
+/// callers can still tell a transient kernel condition from a broken
+/// build.
+impl From<SysError> for Fault {
+    fn from(e: SysError) -> Self {
+        match e {
+            SysError::Fault(f) => f,
+            SysError::Errno(e) => Fault::Errno(e),
+        }
+    }
+}
+
 impl SysError {
     /// True if this is a policy fault (program-aborting).
     #[must_use]

@@ -5,6 +5,11 @@
 //! kernel directly, so every call is subject to the current environment's
 //! filter. Denials are [`Fault`]s (program-aborting); ordinary kernel
 //! failures are [`enclosure_kernel::Errno`]s the program may handle.
+//!
+//! The per-call gate is also how [`LitterBox::submit`] issues an op
+//! under [`crate::IoMode::Immediate`], so an immediate op and its
+//! `sys_*` twin charge, record and fail identically. The queued modes
+//! pay this gate's crossing once per batch instead (`crate::batch`).
 
 use enclosure_hw::vtx::TRUSTED_ENV;
 use enclosure_hw::InjectionSite;
@@ -16,7 +21,7 @@ use crate::fault::{Fault, SysError};
 use crate::machine::{Backend, LitterBox};
 
 impl LitterBox {
-    fn gate(&mut self, record: SyscallRecord) -> Result<(), SysError> {
+    pub(crate) fn gate(&mut self, record: SyscallRecord) -> Result<(), SysError> {
         self.filter_syscall(record).map_err(|fault| match fault {
             // Return-errno filter mode delivers denials as failed
             // syscalls, not program-aborting faults.

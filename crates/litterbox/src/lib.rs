@@ -62,7 +62,7 @@ mod gateway;
 mod machine;
 pub mod scan;
 
-pub use batch::{CompletionToken, FlushPolicy};
+pub use batch::{CompletionToken, FlushPolicy, FlushReason, IoMode};
 pub use desc::{EnclosureDesc, EnclosureId, PackageDesc, PackageLayout, ProgramDesc, ViewMap};
 pub use fault::{Fault, SysError};
 pub use machine::{

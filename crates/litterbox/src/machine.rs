@@ -44,6 +44,10 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// Every backend, the unenforced `Baseline` first — the one list
+    /// test matrices iterate.
+    pub const ALL: [Backend; 4] = [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc];
+
     /// The machine-level [`InjectionSite`]s that can actually fire on
     /// this backend — the chaos sites a soak arms per machine. Baseline
     /// is the control arm (nothing armed); fleet-level sites
@@ -266,12 +270,11 @@ pub struct LitterBox {
     /// Opt-in: coalesce the victim sweeps of one switch into a single
     /// charged `pkey_mprotect` unit count over the combined pages.
     coalesce_sweeps: bool,
-    /// The batched syscall gateway's pending (environment, batch), when
-    /// batching is enabled (see `crate::batch`).
-    pub(crate) batch: Option<crate::batch::BatchState>,
-    /// The completion-driven reactor's size/deadline flush policy.
-    /// `None` keeps the legacy behavior (flush every quantum).
-    pub(crate) flush_policy: Option<crate::batch::FlushPolicy>,
+    /// The submission ring and its pending (environment, batch) — see
+    /// `crate::batch`.
+    pub(crate) batch: crate::batch::BatchState,
+    /// How `submit` issues deferrable syscalls.
+    pub(crate) io_mode: crate::batch::IoMode,
 }
 
 impl LitterBox {
@@ -308,8 +311,8 @@ impl LitterBox {
             hot_pinned: Vec::new(),
             hot_discount: BTreeMap::new(),
             coalesce_sweeps: false,
-            batch: None,
-            flush_policy: None,
+            batch: crate::batch::BatchState::default(),
+            io_mode: crate::batch::IoMode::Immediate,
         }
     }
 

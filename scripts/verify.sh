@@ -44,7 +44,7 @@ grep -qE "^ +20 enclosures pinned-hot" "$abl_out"
 grep -qE "^ +40 enclosures pinned-hot" "$abl_out"
 rm -f "$abl_out"
 
-echo "== async gateway: differential harness on all three backends =="
+echo "== async gateway: differential harness, three I/O modes on every backend =="
 cargo test -q --offline --test async_gateway
 
 echo "== batching: batched arm amortizes the charged crossings =="
@@ -236,7 +236,7 @@ cargo test -q --offline --test fleet_serving
 
 echo "== monitor: SLO dashboard deterministic, signal leads ejection =="
 monitor_out="$(mktemp -d)"
-trap 'rm -rf "$chaos_out" "$trace_out" "$fleet_out" "$monitor_out"' EXIT
+trap 'rm -rf "$chaos_out" "$trace_out" "$fleet_out" "$monitor_out" "${bench9_out:-}"' EXIT
 # Text and JSON are both byte-identical per seed; the binary itself
 # exits non-zero unless the advisory degradation signal strictly leads
 # the outlier ejection in the kill-one-shard rehearsal.
@@ -270,9 +270,11 @@ echo "== flight recorder: dump byte-stable per seed =="
 cmp "$monitor_out/fr1.json" "$monitor_out/fr2.json"
 
 echo "== perf snapshot: BENCH_9.json (ns/req per backend) =="
-# The unified report.rs snapshot writer replaces the old inline-python
-# transform; same shape, now regenerated by the binary itself.
-./target/release/repro batching --quick --bench-out=BENCH_9.json > /dev/null
+# Every BENCH_9 value is simulated, so a regenerated snapshot must match
+# the committed one byte for byte; it is written aside, never over it.
+bench9_out="$(mktemp -d)"
+./target/release/repro batching --quick --bench-out="$bench9_out/BENCH_9.json" > /dev/null
+cmp "$bench9_out/BENCH_9.json" BENCH_9.json
 python3 - BENCH_9.json <<'PY'
 import json, sys
 

@@ -1,10 +1,12 @@
-//! Differential harness for the completion-driven gateway (ISSUE 8).
+//! Differential harness for the syscall issue path's three I/O modes.
 //!
 //! The equivalence theorem, checked per seed and per backend: the async
-//! reactor ([`LitterBox::batch_submit`] + [`litterbox::CompletionToken`] +
-//! adaptive flush) is **observationally equivalent** to the
-//! synchronous ring (`batch_enqueue` + `batch_flush` +
-//! `batch_take_completions`) —
+//! reactor ([`LitterBox::submit`] under [`IoMode::Adaptive`] +
+//! [`litterbox::CompletionToken`]) is **observationally equivalent** to
+//! the synchronous ring (`submit` under [`IoMode::Quantum`] + explicit
+//! flushes + `take_completions`), and both return what
+//! [`IoMode::Immediate`] returns when it services each op at
+//! submission —
 //!
 //! * identical per-submitter result/errno streams,
 //! * identical charged-crossing ledgers when the flush schedules match,
@@ -28,10 +30,8 @@ use enclosure_telemetry::Event;
 use enclosure_vmem::{Access, Addr};
 use litterbox::{
     Backend, BatchOp, BatchReply, CompletionToken, EnclosureDesc, EnclosureId, FlushPolicy,
-    InjectionPlan, InjectionSite, LitterBox, ProgramDesc,
+    FlushReason, InjectionPlan, InjectionSite, IoMode, LitterBox, ProgramDesc, SysError,
 };
-
-const BACKENDS: [Backend; 3] = [Backend::Mpk, Backend::Vtx, Backend::Proc];
 
 /// One machine with one all-allowing enclosure, mirroring the gateway's
 /// own unit-test fixture.
@@ -51,14 +51,23 @@ fn lab(backend: Backend) -> (LitterBox, Addr) {
     (lb, cs)
 }
 
+/// Every backend whose gateway can fault — all but the unenforced
+/// baseline, whose enclosures never leave the trusted environment.
+fn enforcing() -> impl Iterator<Item = Backend> {
+    Backend::ALL.into_iter().filter(|&b| b != Backend::Baseline)
+}
+
 /// A random time-independent op (its reply does not read the clock, so
-/// it is comparable across machines whose flush schedules differ).
+/// it is comparable across machines whose flush schedules differ). One
+/// in five always fails with `EBADF`, so errno streams are compared
+/// too.
 fn pure_op(rng: &mut enclosure_support::XorShift) -> BatchOp {
-    match rng.range_usize(0, 4) {
+    match rng.range_usize(0, 5) {
         0 => BatchOp::Getuid,
         1 => BatchOp::Getpid,
         2 => BatchOp::Futex,
-        _ => BatchOp::Nanosleep(rng.range_u64(10, 500)),
+        3 => BatchOp::Nanosleep(rng.range_u64(10, 500)),
+        _ => BatchOp::Close { fd: 999 },
     }
 }
 
@@ -76,16 +85,49 @@ fn streams_of(completions: Vec<litterbox::Completion>) -> Streams {
     streams
 }
 
+/// Submits `ops` one by one, calling `after` following each, and
+/// returns the tokens with their submitters.
+fn submit_all(
+    lb: &mut LitterBox,
+    subs: &[u64],
+    ops: &[BatchOp],
+    mut after: impl FnMut(&mut LitterBox, usize),
+) -> Vec<(u64, CompletionToken)> {
+    let mut tokens = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let tok = lb.submit(subs[i], op.clone()).unwrap();
+        tokens.push((subs[i], tok));
+        after(lb, i);
+    }
+    tokens
+}
+
+/// Polls every token once, asserting at-most-once delivery, into
+/// per-submitter streams.
+fn poll_all(lb: &mut LitterBox, tokens: &[(u64, CompletionToken)], backend: Backend) -> Streams {
+    let mut streams: Streams = BTreeMap::new();
+    for &(sub, tok) in tokens {
+        assert!(lb.is_complete(tok), "{backend}: token incomplete");
+        let c = lb.poll_completion(tok).expect("first poll posts");
+        assert_eq!(c.seq, tok.seq());
+        streams.entry(sub).or_default().push((c.sysno, c.result));
+        assert!(
+            lb.poll_completion(tok).is_none(),
+            "{backend}: a completion must post at most once"
+        );
+    }
+    streams
+}
+
 enclosure_support::props! {
     /// **The equivalence theorem, schedule held fixed.** The same ops,
     /// submitters, and explicit flush points driven through the
-    /// synchronous ring and through `batch_submit` tokens (policy
-    /// installed but its triggers out of reach) produce identical
-    /// per-submitter result streams, identical charged-crossing
-    /// ledgers, and an identical simulated clock. Every token posts
-    /// exactly once: first poll `Some`, second poll `None`.
+    /// per-quantum ring and through the reactor (policy installed but
+    /// its triggers out of reach) produce identical per-submitter
+    /// result streams, identical charged-crossing ledgers, and an
+    /// identical simulated clock. Every token posts exactly once: first
+    /// poll `Some`, second poll `None`.
     fn async_reactor_equals_synchronous_ring_on_a_shared_schedule(rng, cases = 24) {
-        let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(8, 40);
         let submitters = rng.range_u64(1, 5);
         // ClockGettime is fine here: both machines flush at the same
@@ -98,114 +140,107 @@ enclosure_support::props! {
             .collect();
         let subs: Vec<u64> = (0..n_ops).map(|_| rng.range_u64(1, submitters + 1)).collect();
         let flush_after: Vec<bool> = (0..n_ops).map(|_| rng.range_usize(0, 4) == 0).collect();
-
-        // Synchronous arm.
-        let (mut sync, cs) = lab(backend);
-        sync.enable_batching();
-        let t = sync.prolog(EnclosureId(1), cs).unwrap();
-        for i in 0..n_ops {
-            sync.batch_enqueue(subs[i], ops[i].clone()).unwrap();
-            if flush_after[i] {
-                sync.batch_flush().unwrap();
-            }
-        }
-        sync.epilog(t).unwrap(); // barrier flushes the tail
-        let sync_streams = streams_of(sync.batch_take_completions());
-
-        // Async arm: same schedule, driven through tokens. The policy
-        // is real but unreachable, so only the shared schedule flushes.
-        let (mut reactor, cs) = lab(backend);
-        reactor.enable_batching();
-        reactor.set_flush_policy(Some(FlushPolicy {
+        let unreachable = FlushPolicy {
             max_batch: usize::MAX / 2,
             deadline_ns: u64::MAX / 2,
-        }));
-        let t = reactor.prolog(EnclosureId(1), cs).unwrap();
-        let mut tokens: Vec<(u64, CompletionToken)> = Vec::new();
-        for i in 0..n_ops {
-            let tok = reactor.batch_submit(subs[i], ops[i].clone()).unwrap();
-            tokens.push((subs[i], tok));
-            if flush_after[i] {
-                reactor.batch_flush().unwrap();
-            }
-        }
-        reactor.epilog(t).unwrap();
+        };
 
-        // No completion lost, none double-posted.
-        let mut reactor_streams: Streams = BTreeMap::new();
-        for &(sub, tok) in &tokens {
-            assert!(reactor.batch_is_complete(tok), "{backend}: token incomplete");
-            let c = reactor.batch_poll(tok).expect("first poll posts");
-            assert_eq!(c.seq, tok.seq());
-            reactor_streams.entry(sub).or_default().push((c.sysno, c.result));
-            assert!(
-                reactor.batch_poll(tok).is_none(),
-                "{backend}: a completion must post at most once"
-            );
-        }
+        for backend in Backend::ALL {
+            let run = |mode: IoMode| {
+                let (mut lb, cs) = lab(backend);
+                lb.set_io_mode(mode);
+                let t = lb.prolog(EnclosureId(1), cs).unwrap();
+                let tokens = submit_all(&mut lb, &subs, &ops, |lb, i| {
+                    if flush_after[i] {
+                        lb.flush(FlushReason::Explicit).unwrap();
+                    }
+                });
+                lb.epilog(t).unwrap(); // barrier flushes the tail
+                let streams = poll_all(&mut lb, &tokens, backend);
+                (lb, streams)
+            };
+            let (sync, sync_streams) = run(IoMode::Quantum);
+            let (reactor, reactor_streams) = run(IoMode::AdaptiveWith(unreachable));
 
-        assert_eq!(reactor_streams, sync_streams, "{backend}: result streams");
-        assert_eq!(reactor.stats(), sync.stats(), "{backend}: charged ledgers");
-        assert_eq!(reactor.now_ns(), sync.now_ns(), "{backend}: simulated clocks");
+            assert_eq!(reactor_streams, sync_streams, "{backend}: result streams");
+            assert_eq!(reactor.stats(), sync.stats(), "{backend}: charged ledgers");
+            assert_eq!(reactor.now_ns(), sync.now_ns(), "{backend}: simulated clocks");
+        }
     }
 
     /// **Results are invariant under the flush schedule.** With the
     /// adaptive triggers live (tiny `max_batch`, deadline flushes fired
     /// whenever due) the reactor charges crossings at different
-    /// instants than the synchronous ring — but every entry still
-    /// completes with exactly the result the synchronous ring gave it.
+    /// instants than the per-quantum ring, and `Immediate` charges one
+    /// crossing per op at submission — but every entry still completes
+    /// with exactly the result (or errno) the ring gave it.
     fn results_are_invariant_under_the_flush_schedule(rng, cases = 24) {
-        let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(8, 48);
         let submitters = rng.range_u64(1, 5);
         let ops: Vec<BatchOp> = (0..n_ops).map(|_| pure_op(rng)).collect();
         let subs: Vec<u64> = (0..n_ops).map(|_| rng.range_u64(1, submitters + 1)).collect();
-
-        // Synchronous arm: one flush at the end (epilog barrier).
-        let (mut sync, cs) = lab(backend);
-        sync.enable_batching();
-        let t = sync.prolog(EnclosureId(1), cs).unwrap();
-        for i in 0..n_ops {
-            sync.batch_enqueue(subs[i], ops[i].clone()).unwrap();
-        }
-        sync.epilog(t).unwrap();
-        let sync_streams = streams_of(sync.batch_take_completions());
-
-        // Reactor arm: size trigger fires every few submissions, and
-        // the deadline trigger is exercised whenever it comes due.
-        let (mut reactor, cs) = lab(backend);
-        reactor.enable_batching();
-        reactor.set_flush_policy(Some(FlushPolicy {
+        let policy = FlushPolicy {
             max_batch: rng.range_usize(2, 7),
             deadline_ns: rng.range_u64(500, 5_000),
-        }));
-        let t = reactor.prolog(EnclosureId(1), cs).unwrap();
-        let mut tokens: Vec<(u64, CompletionToken)> = Vec::new();
-        for i in 0..n_ops {
-            let tok = reactor.batch_submit(subs[i], ops[i].clone()).unwrap();
-            tokens.push((subs[i], tok));
-            if reactor.batch_flush_due() {
-                reactor.batch_flush_deadline().unwrap();
-            }
-        }
-        reactor.epilog(t).unwrap();
+        };
 
-        let mut reactor_streams: Streams = BTreeMap::new();
-        for &(sub, tok) in &tokens {
-            let c = reactor.batch_poll(tok).expect("every token posts once");
-            reactor_streams.entry(sub).or_default().push((c.sysno, c.result));
+        for backend in Backend::ALL {
+            // Per-quantum ring: one flush at the end (epilog barrier).
+            let (mut sync, cs) = lab(backend);
+            sync.set_io_mode(IoMode::Quantum);
+            let t = sync.prolog(EnclosureId(1), cs).unwrap();
+            submit_all(&mut sync, &subs, &ops, |_, _| {});
+            sync.epilog(t).unwrap();
+            let sync_streams = streams_of(sync.take_completions());
+
+            // Reactor: size trigger fires every few submissions, and
+            // the deadline trigger is exercised whenever it comes due.
+            let (mut reactor, cs) = lab(backend);
+            reactor.set_io_mode(IoMode::AdaptiveWith(policy));
+            let t = reactor.prolog(EnclosureId(1), cs).unwrap();
+            let tokens = submit_all(&mut reactor, &subs, &ops, |lb, _| {
+                if let Some(reason) = lb.flush_due() {
+                    lb.flush(reason).unwrap();
+                }
+            });
+            reactor.epilog(t).unwrap();
+            let reactor_streams = poll_all(&mut reactor, &tokens, backend);
+            assert_eq!(
+                reactor_streams, sync_streams,
+                "{backend}: flush boundaries moved, results must not"
+            );
+            // The triggers actually fired: this case exercised the
+            // policy, not just the epilog barrier.
+            let c = reactor.telemetry().counters();
+            assert!(
+                c.flush_size_triggers + c.flush_deadline_triggers > 0,
+                "{backend}: policy triggers live"
+            );
+
+            // Immediate: each op serviced at submission, its errno
+            // returned there instead of posted.
+            let (mut immediate, cs) = lab(backend);
+            let t = immediate.prolog(EnclosureId(1), cs).unwrap();
+            let mut immediate_streams: Streams = BTreeMap::new();
+            for (op, &sub) in ops.iter().zip(&subs) {
+                let result = match immediate.submit(sub, op.clone()) {
+                    Ok(tok) => immediate.poll_completion(tok).expect("posted at submit").result,
+                    Err(SysError::Errno(e)) => Err(e),
+                    Err(fault) => panic!("{backend}: {fault}"),
+                };
+                immediate_streams.entry(sub).or_default().push((op.sysno(), result));
+            }
+            immediate.epilog(t).unwrap();
+            assert_eq!(
+                immediate_streams, sync_streams,
+                "{backend}: immediate issue returns what the ring completes"
+            );
+            assert_eq!(
+                immediate.telemetry().counters().batch_flushes,
+                0,
+                "{backend}: immediate issue never flushes"
+            );
         }
-        assert_eq!(
-            reactor_streams, sync_streams,
-            "{backend}: flush boundaries moved, results must not"
-        );
-        // The triggers actually fired: this case exercised the policy,
-        // not just the epilog barrier.
-        let c = reactor.telemetry().counters();
-        assert!(
-            c.flush_size_triggers + c.flush_deadline_triggers > 0,
-            "{backend}: policy triggers live"
-        );
     }
 
     /// **A faulting entry wakes its submitter with its errno without
@@ -213,96 +248,106 @@ enclosure_support::props! {
     /// into a multi-submitter batch: exactly one completion carries the
     /// transient errno, every other completes `Ok`, and none is lost.
     fn faulting_entry_is_contained_to_its_submitter(rng, cases = 12) {
-        let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(4, 12);
-        let (mut lb, cs) = lab(backend);
-        lb.enable_batching();
-        let t = lb.prolog(EnclosureId(1), cs).unwrap();
-        let mut tokens = Vec::new();
-        for i in 0..n_ops {
-            tokens.push(lb.batch_submit(i as u64, BatchOp::Getpid).unwrap());
-        }
-        lb.clock_mut()
-            .arm_injection(InjectionPlan::once(InjectionSite::GatewayErrno));
-        lb.batch_flush().unwrap();
-        lb.clock_mut().disarm_injection();
-        let mut errs = 0;
-        for tok in tokens {
-            let c = lb.batch_poll(tok).expect("fault must not lose completions");
-            match c.result {
-                Ok(_) => {}
-                Err(e) => {
-                    assert!(Errno::TRANSIENT.contains(&e), "{backend}: {e:?}");
-                    errs += 1;
+        for backend in enforcing() {
+            let (mut lb, cs) = lab(backend);
+            lb.set_io_mode(IoMode::Quantum);
+            let t = lb.prolog(EnclosureId(1), cs).unwrap();
+            let mut tokens = Vec::new();
+            for i in 0..n_ops {
+                tokens.push(lb.submit(i as u64, BatchOp::Getpid).unwrap());
+            }
+            lb.clock_mut()
+                .arm_injection(InjectionPlan::once(InjectionSite::GatewayErrno));
+            lb.flush(FlushReason::Explicit).unwrap();
+            lb.clock_mut().disarm_injection();
+            let mut errs = 0;
+            for tok in tokens {
+                let c = lb.poll_completion(tok).expect("fault must not lose completions");
+                match c.result {
+                    Ok(_) => {}
+                    Err(e) => {
+                        assert!(Errno::TRANSIENT.contains(&e), "{backend}: {e:?}");
+                        errs += 1;
+                    }
                 }
             }
+            assert_eq!(errs, 1, "{backend}: exactly the injected entry faulted");
+            lb.epilog(t).unwrap();
         }
-        assert_eq!(errs, 1, "{backend}: exactly the injected entry faulted");
-        lb.epilog(t).unwrap();
     }
 
     /// **`completion_lost` degrades to an errno, never to silence.**
     /// The corrupted completion still posts (with a transient errno),
     /// so its submitter wakes; batch-mates are untouched.
     fn lost_completion_still_wakes_its_submitter(rng, cases = 12) {
-        let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(3, 10);
-        let (mut lb, cs) = lab(backend);
-        lb.enable_batching();
-        let t = lb.prolog(EnclosureId(1), cs).unwrap();
-        let mut tokens = Vec::new();
-        for i in 0..n_ops {
-            tokens.push(lb.batch_submit(i as u64, BatchOp::Getuid).unwrap());
+        for backend in enforcing() {
+            let (mut lb, cs) = lab(backend);
+            lb.set_io_mode(IoMode::Quantum);
+            let t = lb.prolog(EnclosureId(1), cs).unwrap();
+            let mut tokens = Vec::new();
+            for i in 0..n_ops {
+                tokens.push(lb.submit(i as u64, BatchOp::Getuid).unwrap());
+            }
+            lb.clock_mut()
+                .arm_injection(InjectionPlan::once(InjectionSite::CompletionLost));
+            lb.flush(FlushReason::Explicit).unwrap();
+            lb.clock_mut().disarm_injection();
+            let results: Vec<_> = tokens
+                .into_iter()
+                .map(|tok| lb.poll_completion(tok).expect("corruption posts, never drops"))
+                .collect();
+            let errs = results.iter().filter(|c| c.result.is_err()).count();
+            assert_eq!(errs, 1, "{backend}: one corrupted completion");
+            assert_eq!(results.len(), n_ops, "{backend}: mass conserved");
+            lb.epilog(t).unwrap();
         }
-        lb.clock_mut()
-            .arm_injection(InjectionPlan::once(InjectionSite::CompletionLost));
-        lb.batch_flush().unwrap();
-        lb.clock_mut().disarm_injection();
-        let results: Vec<_> = tokens
-            .into_iter()
-            .map(|tok| lb.batch_poll(tok).expect("corruption posts, never drops"))
-            .collect();
-        let errs = results.iter().filter(|c| c.result.is_err()).count();
-        assert_eq!(errs, 1, "{backend}: one corrupted completion");
-        assert_eq!(results.len(), n_ops, "{backend}: mass conserved");
-        lb.epilog(t).unwrap();
     }
 
     /// **A lost deadline flush leaves the batch intact.** The
     /// `flush_deadline` site aborts the flush before any entry is
     /// serviced; a retry services every entry exactly once.
     fn lost_deadline_flush_is_retried_without_loss(rng, cases = 12) {
-        let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(2, 9);
-        let (mut lb, cs) = lab(backend);
-        lb.enable_batching();
-        lb.set_flush_policy(Some(FlushPolicy {
-            max_batch: usize::MAX / 2,
-            deadline_ns: 1_000,
-        }));
-        let t = lb.prolog(EnclosureId(1), cs).unwrap();
-        let mut tokens = Vec::new();
-        for i in 0..n_ops {
-            tokens.push(lb.batch_submit(i as u64, BatchOp::Futex).unwrap());
+        for backend in enforcing() {
+            let (mut lb, cs) = lab(backend);
+            lb.set_io_mode(IoMode::AdaptiveWith(FlushPolicy {
+                max_batch: usize::MAX / 2,
+                deadline_ns: 1_000,
+            }));
+            let t = lb.prolog(EnclosureId(1), cs).unwrap();
+            let mut tokens = Vec::new();
+            for i in 0..n_ops {
+                tokens.push(lb.submit(i as u64, BatchOp::Futex).unwrap());
+            }
+            lb.clock_mut().advance(2_000);
+            assert_eq!(
+                lb.flush_due(),
+                Some(FlushReason::Deadline),
+                "{backend}: deadline elapsed"
+            );
+            lb.clock_mut()
+                .arm_injection(InjectionPlan::once(InjectionSite::FlushDeadline));
+            let err = lb.flush(FlushReason::Deadline).unwrap_err();
+            assert!(err.is_transient(), "{backend}: {err:?}");
+            assert_eq!(
+                lb.pending_submissions(),
+                n_ops,
+                "{backend}: nothing serviced, nothing lost"
+            );
+            assert_eq!(
+                lb.flush(FlushReason::Deadline).unwrap(),
+                n_ops,
+                "{backend}: retry services every entry once"
+            );
+            lb.clock_mut().disarm_injection();
+            for tok in tokens {
+                assert!(lb.poll_completion(tok).is_some(), "{backend}: all posted");
+                assert!(lb.poll_completion(tok).is_none(), "{backend}: exactly once");
+            }
+            lb.epilog(t).unwrap();
         }
-        lb.clock_mut().advance(2_000);
-        assert!(lb.batch_flush_due(), "{backend}: deadline elapsed");
-        lb.clock_mut()
-            .arm_injection(InjectionPlan::once(InjectionSite::FlushDeadline));
-        let err = lb.batch_flush_deadline().unwrap_err();
-        assert!(err.is_transient(), "{backend}: {err:?}");
-        assert_eq!(lb.batch_pending(), n_ops, "{backend}: nothing serviced, nothing lost");
-        assert_eq!(
-            lb.batch_flush_deadline().unwrap(),
-            n_ops,
-            "{backend}: retry services every entry once"
-        );
-        lb.clock_mut().disarm_injection();
-        for tok in tokens {
-            assert!(lb.batch_poll(tok).is_some(), "{backend}: all posted");
-            assert!(lb.batch_poll(tok).is_none(), "{backend}: exactly once");
-        }
-        lb.epilog(t).unwrap();
     }
 
     /// **The adaptive policy is a pure function of the recorded
@@ -310,65 +355,57 @@ enclosure_support::props! {
     /// identical policies, and the sizing always lands inside the
     /// documented clamps.
     fn adaptive_policy_is_deterministic_and_clamped(rng, cases = 8) {
-        let backend = *rng.choose(&BACKENDS);
         let rounds = rng.range_usize(0, 4);
-        let seed_history = |(mut lb, cs): (LitterBox, Addr)| -> LitterBox {
-            lb.enable_batching();
-            for _ in 0..rounds {
-                let t = lb.prolog(EnclosureId(1), cs).unwrap();
-                for _ in 0..6 {
-                    lb.batch_enqueue(1, BatchOp::Getpid).unwrap();
+        for backend in Backend::ALL {
+            let seed_history = |(mut lb, cs): (LitterBox, Addr)| -> LitterBox {
+                lb.set_io_mode(IoMode::Quantum);
+                for _ in 0..rounds {
+                    let t = lb.prolog(EnclosureId(1), cs).unwrap();
+                    for _ in 0..6 {
+                        lb.submit(1, BatchOp::Getpid).unwrap();
+                    }
+                    lb.flush(FlushReason::Explicit).unwrap();
+                    lb.epilog(t).unwrap();
                 }
-                lb.batch_flush().unwrap();
-                lb.epilog(t).unwrap();
-            }
-            lb
-        };
-        let a = seed_history(lab(backend));
-        let b = seed_history(lab(backend));
-        let pa = a.adaptive_flush_policy();
-        assert_eq!(pa, b.adaptive_flush_policy(), "{backend}: pure function");
-        assert!(
-            pa.max_batch == 64 || (32..=256).contains(&pa.max_batch),
-            "{backend}: max_batch clamp: {}",
-            pa.max_batch
-        );
-        assert!(
-            pa.deadline_ns == 150_000 || (25_000..=400_000).contains(&pa.deadline_ns),
-            "{backend}: deadline clamp: {}",
-            pa.deadline_ns
-        );
+                lb
+            };
+            let a = seed_history(lab(backend));
+            let b = seed_history(lab(backend));
+            let pa = a.adaptive_flush_policy();
+            assert_eq!(pa, b.adaptive_flush_policy(), "{backend}: pure function");
+            assert!(
+                pa.max_batch == 64 || (32..=256).contains(&pa.max_batch),
+                "{backend}: max_batch clamp: {}",
+                pa.max_batch
+            );
+            assert!(
+                pa.deadline_ns == 150_000 || (25_000..=400_000).contains(&pa.deadline_ns),
+                "{backend}: deadline clamp: {}",
+                pa.deadline_ns
+            );
+        }
     }
 }
 
-/// Runs the concurrent FastHTTP pair and returns the app for
-/// inspection, with event tracing on so park/wake pairing is auditable.
-fn fasthttp_run(backend: Backend, cfg: FastHttpConfig, n: u64) -> FastHttpApp {
+/// Runs the concurrent FastHTTP pair with 8 workers and returns the app
+/// for inspection, with event tracing on so park/wake pairing is
+/// auditable, issuing deferrable syscalls in mode `io`.
+fn fasthttp_run(backend: Backend, io: IoMode, n: u64) -> FastHttpApp {
     let mut app = FastHttpApp::new(backend).unwrap();
     app.runtime_mut()
         .lb_mut()
         .telemetry_mut()
         .enable_trace(1 << 17);
     app.runtime_mut().lb_mut().clock_mut().reset();
+    app.set_io_mode(io);
+    let cfg = FastHttpConfig {
+        workers: 8,
+        ..FastHttpConfig::default()
+    };
     let stats = app.serve_requests(n, cfg).unwrap();
     assert_eq!(stats.served, n, "{backend}: all requests served");
     app
 }
-
-const SYNC_8: FastHttpConfig = FastHttpConfig {
-    parse_ns: 9_000,
-    handler_ns: 28_000,
-    batched_io: true,
-    async_io: false,
-    workers: 8,
-};
-const ASYNC_8: FastHttpConfig = FastHttpConfig {
-    parse_ns: 9_000,
-    handler_ns: 28_000,
-    batched_io: false,
-    async_io: true,
-    workers: 8,
-};
 
 /// The application-level differential: per backend, the async reactor
 /// serves exactly the same requests as the synchronous batched ring
@@ -377,9 +414,9 @@ const ASYNC_8: FastHttpConfig = FastHttpConfig {
 #[test]
 fn async_fasthttp_is_equivalent_to_sync_batched_and_cheaper() {
     const N: u64 = 40;
-    for backend in BACKENDS {
-        let sync = fasthttp_run(backend, SYNC_8, N);
-        let reactor = fasthttp_run(backend, ASYNC_8, N);
+    for backend in Backend::ALL {
+        let sync = fasthttp_run(backend, IoMode::Quantum, N);
+        let reactor = fasthttp_run(backend, IoMode::Adaptive, N);
 
         // Mass conservation: every request's latency is recorded in
         // both arms — parking never drops or double-counts a request.
@@ -427,8 +464,8 @@ fn async_fasthttp_is_equivalent_to_sync_batched_and_cheaper() {
 /// would pass vacuously otherwise).
 #[test]
 fn park_wake_pairing_is_well_nested() {
-    for backend in BACKENDS {
-        let app = fasthttp_run(backend, ASYNC_8, 32);
+    for backend in Backend::ALL {
+        let app = fasthttp_run(backend, IoMode::Adaptive, 32);
         let rec = app.runtime().lb().telemetry();
         let mut parked: BTreeMap<u64, u64> = BTreeMap::new(); // token → goroutine
         let (mut parks, mut wakes) = (0u64, 0u64);
@@ -475,9 +512,9 @@ fn park_wake_pairing_is_well_nested() {
 /// latency histogram.
 #[test]
 fn async_flush_order_is_deterministic_per_seed() {
-    for backend in BACKENDS {
-        let a = fasthttp_run(backend, ASYNC_8, 24);
-        let b = fasthttp_run(backend, ASYNC_8, 24);
+    for backend in Backend::ALL {
+        let a = fasthttp_run(backend, IoMode::Adaptive, 24);
+        let b = fasthttp_run(backend, IoMode::Adaptive, 24);
         assert_eq!(
             a.runtime().lb().telemetry().counters(),
             b.runtime().lb().telemetry().counters(),

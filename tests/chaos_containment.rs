@@ -10,8 +10,8 @@ use enclosure_kernel::seccomp::SysPolicy;
 use enclosure_support::XorShift;
 use enclosure_vmem::{Access, Addr, PAGE_SIZE};
 use litterbox::{
-    Backend, EnclosureDesc, EnclosureId, InjectionPlan, InjectionSite, LitterBox, ProgramDesc,
-    TRUSTED_ENV,
+    Backend, BatchOp, EnclosureDesc, EnclosureId, FlushReason, InjectionPlan, InjectionSite,
+    IoMode, LitterBox, ProgramDesc, TRUSTED_ENV,
 };
 
 const VICTIM: EnclosureId = EnclosureId(1);
@@ -106,16 +106,16 @@ fn victim_op(lab: &mut Lab, site: InjectionSite) -> bool {
         InjectionSite::BatchFlush => {
             // A faulted flush keeps the whole batch queued; the epilog's
             // flush barrier then retires it with injection suspended, so
-            // both arms end with an empty ring and batching disabled.
-            lab.lb.enable_batching();
+            // both arms end with an empty ring and immediate issue.
+            lab.lb.set_io_mode(IoMode::Quantum);
             let token = lab.lb.prolog(VICTIM, lab.callsite).unwrap();
-            lab.lb.batch_enqueue(7, litterbox::BatchOp::Getuid).unwrap();
-            lab.lb.batch_enqueue(7, litterbox::BatchOp::Getpid).unwrap();
-            let faulted = lab.lb.batch_flush().is_err();
+            lab.lb.submit(7, BatchOp::Getuid).unwrap();
+            lab.lb.submit(7, BatchOp::Getpid).unwrap();
+            let faulted = lab.lb.flush(FlushReason::Explicit).is_err();
             lab.lb.epilog(token).unwrap();
-            let done = lab.lb.batch_take_completions();
+            let done = lab.lb.take_completions();
             assert_eq!(done.len(), 2, "both entries complete despite the fault");
-            lab.lb.disable_batching().unwrap();
+            lab.lb.set_io_mode(IoMode::Immediate);
             faulted
         }
         InjectionSite::FlushDeadline => {
@@ -123,39 +123,39 @@ fn victim_op(lab: &mut Lab, site: InjectionSite) -> bool {
             // nothing serviced, nothing dropped — and the epilog's
             // flush barrier then retires it, so both arms end with an
             // empty ring and every submission completed.
-            lab.lb.enable_async_gateway();
+            lab.lb.set_io_mode(IoMode::Adaptive);
             let token = lab.lb.prolog(VICTIM, lab.callsite).unwrap();
-            let a = lab.lb.batch_submit(7, litterbox::BatchOp::Getuid).unwrap();
-            let b = lab.lb.batch_submit(7, litterbox::BatchOp::Getpid).unwrap();
-            let faulted = lab.lb.batch_flush_deadline().is_err();
+            let a = lab.lb.submit(7, BatchOp::Getuid).unwrap();
+            let b = lab.lb.submit(7, BatchOp::Getpid).unwrap();
+            let faulted = lab.lb.flush(FlushReason::Deadline).is_err();
             lab.lb.epilog(token).unwrap();
             assert!(
-                lab.lb.batch_is_complete(a) && lab.lb.batch_is_complete(b),
+                lab.lb.is_complete(a) && lab.lb.is_complete(b),
                 "both submissions complete despite the lost deadline flush"
             );
-            let done = lab.lb.batch_take_completions_for(7);
+            let done = lab.lb.take_completions_for(7);
             assert_eq!(done.len(), 2, "both completions reaped");
-            lab.lb.disable_batching().unwrap();
+            lab.lb.set_io_mode(IoMode::Immediate);
             faulted
         }
         InjectionSite::CompletionLost => {
             // A corrupted completion posts a transient errno instead of
             // its result: the submitter still wakes (with the errno)
             // and its batch-mate is untouched — never silently lost.
-            lab.lb.enable_async_gateway();
+            lab.lb.set_io_mode(IoMode::Adaptive);
             let token = lab.lb.prolog(VICTIM, lab.callsite).unwrap();
-            let a = lab.lb.batch_submit(7, litterbox::BatchOp::Getuid).unwrap();
-            let b = lab.lb.batch_submit(7, litterbox::BatchOp::Getpid).unwrap();
-            lab.lb.batch_flush().unwrap();
-            let ra = lab.lb.batch_poll(a).expect("completion posted");
-            let rb = lab.lb.batch_poll(b).expect("completion posted");
+            let a = lab.lb.submit(7, BatchOp::Getuid).unwrap();
+            let b = lab.lb.submit(7, BatchOp::Getpid).unwrap();
+            lab.lb.flush(FlushReason::Explicit).unwrap();
+            let ra = lab.lb.poll_completion(a).expect("completion posted");
+            let rb = lab.lb.poll_completion(b).expect("completion posted");
             let faulted = ra.result.is_err() || rb.result.is_err();
             assert!(
                 ra.result.is_ok() || rb.result.is_ok(),
                 "a lost completion never poisons its batch-mate"
             );
             lab.lb.epilog(token).unwrap();
-            lab.lb.disable_batching().unwrap();
+            lab.lb.set_io_mode(IoMode::Immediate);
             faulted
         }
         InjectionSite::PkeyMprotect | InjectionSite::TransferAlloc => {

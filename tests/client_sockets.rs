@@ -7,9 +7,7 @@
 use enclosure_apps::fasthttp::{FastHttpApp, FastHttpConfig};
 use enclosure_apps::wiki::WikiApp;
 use enclosure_kernel::Kernel;
-use litterbox::Backend;
-
-const BACKENDS: [Backend; 4] = [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc];
+use litterbox::{Backend, IoMode};
 
 fn assert_holds(kernel: &Kernel, expected: usize, what: &str) {
     assert_eq!(kernel.open_fds(), expected, "{what}: open fds");
@@ -18,21 +16,26 @@ fn assert_holds(kernel: &Kernel, expected: usize, what: &str) {
 
 #[test]
 fn fasthttp_leaves_only_its_listeners() {
-    let reactor = FastHttpConfig {
-        async_io: true,
-        workers: 4,
-        ..FastHttpConfig::default()
-    };
-    for backend in BACKENDS {
-        for cfg in [FastHttpConfig::default(), reactor] {
+    for backend in Backend::ALL {
+        for workers in [1, 4] {
             let mut app = FastHttpApp::new(backend).unwrap();
+            let cfg = FastHttpConfig {
+                workers,
+                ..FastHttpConfig::default()
+            };
             for call in 1..=3 {
+                // The single server issues immediately; the workers run
+                // on the reactor, its policy re-sized every call as the
+                // fleet does.
+                if workers > 1 {
+                    app.set_io_mode(IoMode::Adaptive);
+                }
                 let stats = app.serve_requests(12, cfg).unwrap();
-                assert_eq!(stats.served, 12, "{backend} workers={}", cfg.workers);
+                assert_eq!(stats.served, 12, "{backend} workers={workers}");
                 assert_holds(
                     app.runtime().lb().kernel(),
                     call,
-                    &format!("{backend} workers={} after call {call}", cfg.workers),
+                    &format!("{backend} workers={workers} after call {call}"),
                 );
             }
         }
@@ -41,17 +44,19 @@ fn fasthttp_leaves_only_its_listeners() {
 
 #[test]
 fn wiki_leaves_only_its_listeners_and_upstream() {
-    for backend in BACKENDS {
-        for async_io in [false, true] {
+    for backend in Backend::ALL {
+        for adaptive in [false, true] {
             let mut app = WikiApp::new(backend).unwrap();
-            app.set_async_io(async_io);
+            if adaptive {
+                app.set_io_mode(IoMode::Adaptive);
+            }
             for call in 1..=3 {
                 let stats = app.serve_requests(12).unwrap();
-                assert_eq!(stats.served, 12, "{backend} async={async_io}");
+                assert_eq!(stats.served, 12, "{backend} adaptive={adaptive}");
                 assert_holds(
                     app.runtime().lb().kernel(),
                     2 * call,
-                    &format!("{backend} async={async_io} after call {call}"),
+                    &format!("{backend} adaptive={adaptive} after call {call}"),
                 );
             }
         }

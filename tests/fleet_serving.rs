@@ -15,7 +15,9 @@
 //!   re-serves before the run ends.
 
 use enclosure_apps::wiki::WikiApp;
-use enclosure_fleet::{check_invariants, FastHttpFleet, FleetConfig, FleetReport, WikiFleet};
+use enclosure_fleet::{
+    check_invariants, FastHttpFleet, FleetConfig, FleetReport, WikiFleet, Workload,
+};
 use enclosure_telemetry::Histogram;
 
 fn run(cfg: &FleetConfig) -> FleetReport {
@@ -38,10 +40,11 @@ enclosure_support::props! {
         let report = run(&cfg);
         let mut merged = Histogram::new();
         for row in &report.rows {
-            let mut machine = WikiApp::new(row.backend).unwrap();
-            machine.set_async_io(true);
+            // Replayed through the shard's own workload, so the flush
+            // policy is re-sized before every batch exactly as it was.
+            let mut machine = WikiApp::build(row.backend).unwrap();
             for &n in &row.batch_sizes {
-                machine.serve_requests(n).unwrap();
+                machine.serve(n).unwrap();
             }
             assert_eq!(
                 machine.latency(),

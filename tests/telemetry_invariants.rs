@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use enclosure_apps::fasthttp::{FastHttpApp, FastHttpConfig};
 use enclosure_apps::plotlib::{self, PlotConfig};
 use enclosure_apps::wiki::WikiApp;
 use enclosure_fleet::{FleetConfig, WikiFleet};
@@ -15,7 +16,7 @@ use enclosure_pyfront::MetadataMode;
 use enclosure_repro::core::{App, Enclosure, Policy};
 use enclosure_support::XorShift;
 use enclosure_telemetry::{Event, Recorder, SpanScope, MAIN_TRACK};
-use litterbox::Backend;
+use litterbox::{Backend, IoMode};
 
 fn nested_workload(backend: Backend) -> App {
     let mut app = App::builder("telemetry")
@@ -330,21 +331,21 @@ fn wiki_span_tree_is_well_nested_across_goroutine_tracks() {
     }
 }
 
-/// With batched I/O on, the scheduler flushes the syscall ring at each
-/// quantum boundary *inside* the goroutine's `go.sched` span, so every
-/// `batch.flush` span nests there — and the attribution table still
-/// equals the span tree's self-times, flush spans included.
+/// Under `IoMode::Quantum` the scheduler flushes the syscall ring at
+/// each quantum boundary *inside* the goroutine's `go.sched` span, so
+/// every `batch.flush` span nests there — and the attribution table
+/// still equals the span tree's self-times, flush spans included.
 #[test]
 fn batched_quantum_flushes_keep_attribution_equal_to_span_tree() {
     for backend in [Backend::Mpk, Backend::Vtx] {
-        let mut app = WikiApp::new(backend).unwrap();
-        app.set_batched_io(true);
+        let mut app = FastHttpApp::new(backend).unwrap();
         {
             let lb = app.runtime_mut().lb_mut();
             lb.clock_mut().reset();
             lb.telemetry_mut().enable_span_log();
         }
-        app.serve_requests(10).unwrap();
+        app.set_io_mode(IoMode::Quantum);
+        app.serve_requests(10, FastHttpConfig::default()).unwrap();
         let lb = app.runtime_mut().lb_mut();
         let now = lb.now_ns();
         lb.telemetry_mut().flush_tracks(now);
@@ -428,12 +429,12 @@ fn fleet_chaos_and_drain_leave_span_stacks_balanced() {
 fn windowed_series_conserves_mass_on_every_backend() {
     for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
         let mut app = WikiApp::new(backend).unwrap();
-        app.set_async_io(true);
         app.runtime_mut()
             .lb_mut()
             .clock_mut()
             .recorder_mut()
             .enable_series(50_000, 8);
+        app.set_io_mode(IoMode::Adaptive);
         app.serve_requests(40).unwrap();
         let rec = app.runtime().lb().telemetry();
         let series = rec.series().expect("sampler armed");
