@@ -8,8 +8,10 @@
 //! surface in [`ServeStats`](crate::httpd::ServeStats) so chaos soaks can
 //! assert on them.
 
+use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
-use litterbox::SysError;
+use enclosure_telemetry::{Event, Histogram};
+use litterbox::{LitterBox, SysError};
 
 /// How many times a transient errno is retried in place before the
 /// failure is surfaced to the degradation path.
@@ -47,6 +49,62 @@ pub fn retry_transient<T>(
             }
             other => return other,
         }
+    }
+}
+
+/// Opens a listener on `port`, retrying each step in place while it
+/// fails transiently. A socket whose bind or listen still fails is
+/// closed (un-injectable) before the error surfaces, so a caller that
+/// retries the whole setup next round leaks no socket.
+///
+/// # Errors
+///
+/// As [`retry_transient`], for whichever step failed.
+pub fn listen_retrying(
+    tally: &Shared<ChaosTally>,
+    lb: &mut LitterBox,
+    port: u16,
+) -> Result<u32, SysError> {
+    let fd = retry_transient(tally, || lb.sys_socket())?;
+    let bound = retry_transient(tally, || lb.sys_bind(fd, SockAddr::local(port)))
+        .and_then(|()| retry_transient(tally, || lb.sys_listen(fd)));
+    if let Err(e) = bound {
+        lb.clock_mut().suspend_injection();
+        let _ = lb.sys_close(fd);
+        lb.clock_mut().resume_injection();
+        return Err(e);
+    }
+    Ok(fd)
+}
+
+/// Gives up on `conn` after its handling failed: answers it with a 503
+/// when `reply` is set, then closes it. Both run un-injectable — this
+/// is the recovery path. The request itself is counted degraded when
+/// [`finish_request`] closes it out with `ok == false`.
+pub fn degrade_conn(lb: &mut LitterBox, conn: u32, reply: bool) {
+    lb.clock_mut().suspend_injection();
+    if reply {
+        let _ = lb.sys_send(conn, &render_unavailable());
+    }
+    let _ = lb.sys_close(conn);
+    lb.clock_mut().resume_injection();
+}
+
+/// Closes out a request accepted at `t0`: records its latency and a
+/// [`Event::RequestServed`], and counts it in `tally.degraded` unless
+/// it was answered for real (`ok`).
+pub fn finish_request(
+    tally: &Shared<ChaosTally>,
+    latency: &Shared<Histogram>,
+    lb: &mut LitterBox,
+    t0: u64,
+    ok: bool,
+) {
+    let ns = lb.now_ns() - t0;
+    latency.borrow_mut().record(ns);
+    lb.clock_mut().record(Event::RequestServed { ns, ok });
+    if !ok {
+        tally.borrow_mut().degraded += 1;
     }
 }
 
@@ -90,6 +148,42 @@ mod tests {
             retry_transient(&tally, || Err(SysError::Errno(Errno::Eacces)));
         assert!(matches!(out, Err(SysError::Errno(Errno::Eacces))));
         assert_eq!(tally.borrow().retried, 0);
+    }
+
+    #[test]
+    fn failed_listener_setup_leaks_no_socket() {
+        use enclosure_gofront::{GoProgram, GoSource, GoValue};
+        use litterbox::{Backend, InjectionPlan, InjectionSite};
+
+        let mut program = GoProgram::new();
+        program.add_source(GoSource::new("srv"));
+        program.add_source(GoSource::new("main").imports(&["srv"]).enclosure(
+            "srv_enc",
+            "srv.Listen",
+            "net io",
+        ));
+        let mut rt = program.build(Backend::Mpk).unwrap();
+        rt.lb_mut().clock_mut().arm_injection(
+            InjectionPlan::new(0x5E7, 600_000).with_sites(&[InjectionSite::GatewayErrno]),
+        );
+        rt.register_fn("srv.Listen", |ctx, _arg| {
+            let tally = Shared::default();
+            let (mut up, mut failed) = (0, 0);
+            for port in 9_000..9_040 {
+                match listen_retrying(&tally, ctx.lb_mut(), port) {
+                    Ok(_) => up += 1,
+                    Err(e) => {
+                        assert!(e.is_transient(), "{e:?}");
+                        failed += 1;
+                    }
+                }
+                // Only the listeners that came up hold a socket.
+                assert_eq!(ctx.lb().kernel().net.socket_count(), up, "port {port}");
+            }
+            assert!(up > 0 && failed > 0, "up {up}, failed {failed}");
+            Ok(GoValue::Unit)
+        });
+        rt.call_enclosed("srv_enc", GoValue::Unit).unwrap();
     }
 
     #[test]

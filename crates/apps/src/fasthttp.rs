@@ -16,12 +16,11 @@ use std::sync::OnceLock;
 use enclosure_gofront::{
     sched::Recv, ChanId, GoCtx, GoProgram, GoRuntime, GoSource, GoValue, Step,
 };
-use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
-use enclosure_telemetry::{Event, Histogram};
+use enclosure_telemetry::Histogram;
 use litterbox::{Backend, BatchOp, Fault, IoMode, LitterBox, SysError};
 
-use crate::chaos::{render_unavailable, retry_transient, ChaosTally};
+use crate::chaos::{degrade_conn, finish_request, listen_retrying, retry_transient, ChaosTally};
 use crate::client::Clients;
 use crate::httpd::{repeat_page, ServeStats, PAGE_SIZE_BYTES};
 
@@ -113,7 +112,7 @@ fn reply_tail(conn: u32, headers: Vec<u8>, rest: Vec<u8>) -> [BatchOp; 6] {
 /// connection, and the accept timestamp on the concurrent path) pass
 /// through untouched, and the reply takes the flag's place as two byte
 /// strings — its first 128 bytes and the rest — which the server sends
-/// in two writes ([`reply_tail`]) without copying them again.
+/// in two writes ([`reply_tail`]) without joining them.
 fn spawn_trusted_handler(rt: &mut GoRuntime, req_ch: ChanId, resp_ch: ChanId, handler_ns: u64) {
     rt.spawn("trusted-handler", move |ctx| {
         match ctx.chan_recv(req_ch)? {
@@ -242,15 +241,7 @@ impl FastHttpApp {
         self.rt
             .spawn_enclosed("fasthttp-server", "server_enc", move |ctx| {
                 if let ServerState::Setup = state {
-                    let setup = (|| -> Result<u32, SysError> {
-                        let listen = retry_transient(&srv_tally, || ctx.lb_mut().sys_socket())?;
-                        retry_transient(&srv_tally, || {
-                            ctx.lb_mut().sys_bind(listen, SockAddr::local(port))
-                        })?;
-                        retry_transient(&srv_tally, || ctx.lb_mut().sys_listen(listen))?;
-                        Ok(listen)
-                    })();
-                    match setup {
+                    match listen_retrying(&srv_tally, ctx.lb_mut(), port) {
                         Ok(listen) => state = ServerState::Running { listen },
                         // Retry the whole setup next round.
                         Err(e) if e.is_transient() => {}
@@ -305,22 +296,18 @@ impl FastHttpApp {
                                 }
                                 Err(e) if e.is_transient() => {
                                     // Degrade: 5xx this request, keep the
-                                    // server alive. The response itself
-                                    // runs un-injectable — it is the
-                                    // recovery path.
-                                    ctx.lb_mut().clock_mut().suspend_injection();
-                                    let _ = ctx.lb_mut().sys_send(conn, &render_unavailable());
-                                    let _ = ctx.lb_mut().sys_close(conn);
-                                    ctx.lb_mut().clock_mut().resume_injection();
-                                    srv_tally.borrow_mut().degraded += 1;
+                                    // server alive.
+                                    degrade_conn(ctx.lb_mut(), conn, true);
                                     accepted += 1;
                                     degraded += 1;
                                     if let Some(t0) = accept_ns.remove(&conn) {
-                                        let ns = ctx.lb().now_ns() - t0;
-                                        latency.borrow_mut().record(ns);
-                                        ctx.lb_mut()
-                                            .clock_mut()
-                                            .record(Event::RequestServed { ns, ok: false });
+                                        finish_request(
+                                            &srv_tally,
+                                            &latency,
+                                            ctx.lb_mut(),
+                                            t0,
+                                            false,
+                                        );
                                     }
                                 }
                                 Err(e) => return Err(e.into()),
@@ -348,20 +335,13 @@ impl FastHttpApp {
                         match sent {
                             Ok(()) => {}
                             Err(e) if e.is_transient() => {
-                                ctx.lb_mut().clock_mut().suspend_injection();
-                                let _ = ctx.lb_mut().sys_close(conn);
-                                ctx.lb_mut().clock_mut().resume_injection();
-                                srv_tally.borrow_mut().degraded += 1;
+                                degrade_conn(ctx.lb_mut(), conn, false);
                                 ok = false;
                             }
                             Err(e) => return Err(e.into()),
                         }
                         if let Some(t0) = accept_ns.remove(&conn) {
-                            let ns = ctx.lb().now_ns() - t0;
-                            latency.borrow_mut().record(ns);
-                            ctx.lb_mut()
-                                .clock_mut()
-                                .record(Event::RequestServed { ns, ok });
+                            finish_request(&srv_tally, &latency, ctx.lb_mut(), t0, ok);
                         }
                         replied += 1;
                     }
@@ -411,8 +391,14 @@ impl FastHttpApp {
         let accepted: Shared<u64> = Shared::default();
         let replied: Shared<u64> = Shared::default();
         let closed: Shared<bool> = Shared::default();
+        let tally: Shared<ChaosTally> = Shared::default();
 
+        // Under fault injection the workers degrade like the single
+        // server: transient errnos are retried in place, and a request
+        // whose handling still fails is answered with a 503 (or closed)
+        // and counted as finished.
         for w in 0..cfg.workers {
+            let tally = tally.clone();
             let listener = listener.clone();
             let accepted = accepted.clone();
             let replied = replied.clone();
@@ -428,26 +414,26 @@ impl FastHttpApp {
                     let Some(listen) = listener.get() else {
                         // Worker 0 owns listener setup; peers wait.
                         if w == 0 {
-                            let fd = ctx.lb_mut().sys_socket()?;
-                            ctx.lb_mut().sys_bind(fd, SockAddr::local(port))?;
-                            ctx.lb_mut().sys_listen(fd)?;
-                            listener.set(Some(fd));
+                            match listen_retrying(&tally, ctx.lb_mut(), port) {
+                                Ok(fd) => listener.set(Some(fd)),
+                                // Retry the whole setup next round.
+                                Err(e) if e.is_transient() => {}
+                                Err(e) => return Err(e.into()),
+                            }
                         }
                         return Ok(Step::Yield);
                     };
-                    // Reaps a shipped reply tail and closes the request
-                    // out into the latency histogram.
-                    let retire = |ctx: &mut GoCtx<'_>, conn: u32, t0: u64| {
+                    let submit = |lb: &mut LitterBox, conn: u32, op: &BatchOp| {
+                        retry_transient(&tally, || lb.submit(u64::from(conn), op))
+                    };
+                    // Closes a request out into the latency histogram.
+                    let retire = |ctx: &mut GoCtx<'_>, conn: u32, t0: u64, ok: bool| {
                         let _ = ctx.lb_mut().take_completions_for(u64::from(conn));
-                        let ns = ctx.lb().now_ns() - t0;
-                        latency.borrow_mut().record(ns);
-                        ctx.lb_mut()
-                            .clock_mut()
-                            .record(Event::RequestServed { ns, ok: true });
+                        finish_request(&tally, &latency, ctx.lb_mut(), t0, ok);
                         replied.set(replied.get() + 1);
                     };
                     if let Some((conn, t0)) = shipped.take() {
-                        retire(ctx, conn, t0);
+                        retire(ctx, conn, t0, true);
                     }
                     if replied.get() >= n {
                         if !closed.get() {
@@ -466,15 +452,24 @@ impl FastHttpApp {
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
                         let t0 = parts[1].as_int()?;
                         let [tail @ .., last] = reply_tail(conn, headers, rest);
-                        for op in tail {
-                            ctx.lb_mut().submit(u64::from(conn), op)?;
-                        }
-                        let last = ctx.lb_mut().submit(u64::from(conn), last)?;
+                        let sent = tail
+                            .iter()
+                            .try_for_each(|op| submit(ctx.lb_mut(), conn, op).map(drop))
+                            .and_then(|()| submit(ctx.lb_mut(), conn, &last));
+                        let last = match sent {
+                            Ok(last) => last,
+                            Err(e) if e.is_transient() => {
+                                degrade_conn(ctx.lb_mut(), conn, false);
+                                retire(ctx, conn, t0, false);
+                                return Ok(Step::Yield);
+                            }
+                            Err(e) => return Err(e.into()),
+                        };
                         // A tail whose last op already completed (serviced
                         // at submission, or flushed by the size trigger)
                         // has left: retire it now instead of parking.
                         if ctx.lb().is_complete(last) {
-                            retire(ctx, conn, t0);
+                            retire(ctx, conn, t0, true);
                             return Ok(Step::Yield);
                         }
                         shipped = Some((conn, t0));
@@ -482,30 +477,49 @@ impl FastHttpApp {
                     }
                     // Accept + parse + forward one request. `accept` and
                     // `recv` stay synchronous: their results gate
-                    // progress.
+                    // progress. An errno from `accept` (EAGAIN on an
+                    // empty queue, or an injected one) is not retried in
+                    // place: the worker yields and accepts next round.
                     if accepted.get() < n {
                         match ctx.lb_mut().sys_accept(listen) {
                             Ok(conn) => {
                                 let t0 = ctx.lb().now_ns();
-                                let sub = u64::from(conn);
-                                ctx.lb_mut().submit(sub, BatchOp::ClockGettime)?;
-                                let head = ctx.lb_mut().sys_recv(conn, 4096)?;
-                                ctx.lb_mut().submit(sub, BatchOp::ClockGettime)?;
-                                ctx.lb_mut().submit(sub, BatchOp::Futex)?;
-                                ctx.compute(parse_ns);
-                                let ok = head.starts_with(b"GET ");
-                                if ctx.chan_send(
-                                    req_ch,
-                                    GoValue::Tuple(vec![
-                                        GoValue::Int(sub),
-                                        GoValue::Int(t0),
-                                        GoValue::Bool(ok),
-                                    ]),
-                                )? {
-                                    accepted.set(accepted.get() + 1);
+                                let head = (|| -> Result<Vec<u8>, SysError> {
+                                    submit(ctx.lb_mut(), conn, &BatchOp::ClockGettime)?;
+                                    let head = retry_transient(&tally, || {
+                                        ctx.lb_mut().sys_recv(conn, 4096)
+                                    })?;
+                                    submit(ctx.lb_mut(), conn, &BatchOp::ClockGettime)?;
+                                    submit(ctx.lb_mut(), conn, &BatchOp::Futex)?;
+                                    Ok(head)
+                                })();
+                                match head {
+                                    Ok(head) => {
+                                        ctx.compute(parse_ns);
+                                        let ok = head.starts_with(b"GET ");
+                                        if ctx.chan_send(
+                                            req_ch,
+                                            GoValue::Tuple(vec![
+                                                GoValue::Int(u64::from(conn)),
+                                                GoValue::Int(t0),
+                                                GoValue::Bool(ok),
+                                            ]),
+                                        )? {
+                                            accepted.set(accepted.get() + 1);
+                                        }
+                                    }
+                                    Err(e) if e.is_transient() => {
+                                        accepted.set(accepted.get() + 1);
+                                        degrade_conn(ctx.lb_mut(), conn, true);
+                                        retire(ctx, conn, t0, false);
+                                    }
+                                    Err(e) => return Err(e.into()),
                                 }
                             }
                             Err(SysError::Errno(_)) => {}
+                            // An injected transient fault before any
+                            // connection state exists: try next round.
+                            Err(e) if e.is_transient() => {}
                             Err(e) => return Err(e.into()),
                         }
                     }
@@ -520,8 +534,10 @@ impl FastHttpApp {
         self.rt.run_scheduler()?;
         let _ = self.rt.lb_mut().take_completions();
         let ns = self.rt.lb().now_ns() - t0;
-        clients.reap(self.rt.lb_mut(), n, |reply| reply == ok_response())?;
-        Ok(ServeStats::new(n, ns))
+        let tally = *tally.borrow();
+        let served = n - tally.degraded;
+        clients.reap(self.rt.lb_mut(), served, |reply| reply == ok_response())?;
+        Ok(ServeStats::new(served, ns).with_tally(tally))
     }
 }
 
@@ -679,25 +695,39 @@ mod tests {
         }
     }
 
+    /// Immediate issue (the default) is the one mode whose submissions
+    /// can fail, so with `workers > 1` this also drives the concurrent
+    /// workers' reply-tail degrade path.
     #[test]
     fn degrades_gracefully_under_gateway_chaos() {
         use litterbox::{InjectionPlan, InjectionSite};
         for backend in [Backend::Mpk, Backend::Vtx] {
-            let mut app = FastHttpApp::new(backend).unwrap();
-            let sites = if backend == Backend::Vtx {
-                vec![InjectionSite::GatewayErrno, InjectionSite::VmExit]
-            } else {
-                vec![InjectionSite::GatewayErrno]
-            };
-            app.runtime_mut()
-                .lb_mut()
-                .clock_mut()
-                .arm_injection(InjectionPlan::new(0xFA57, 350_000).with_sites(&sites));
-            let stats = app.serve_requests(30, FastHttpConfig::default()).unwrap();
-            assert_eq!(stats.served + stats.degraded, 30, "{backend}: {stats:?}");
-            assert!(stats.retried > 0, "{backend}: errnos were retried");
-            let c = app.runtime().lb().telemetry().counters();
-            assert_eq!(c.prologs, c.epilogs, "{backend}: balanced switches");
+            for workers in [1, 4] {
+                let mut app = FastHttpApp::new(backend).unwrap();
+                let sites = if backend == Backend::Vtx {
+                    vec![InjectionSite::GatewayErrno, InjectionSite::VmExit]
+                } else {
+                    vec![InjectionSite::GatewayErrno]
+                };
+                app.runtime_mut()
+                    .lb_mut()
+                    .clock_mut()
+                    .arm_injection(InjectionPlan::new(0xFA57, 350_000).with_sites(&sites));
+                let cfg = FastHttpConfig {
+                    workers,
+                    ..FastHttpConfig::default()
+                };
+                let stats = app.serve_requests(30, cfg).unwrap();
+                let what = format!("{backend} workers={workers}");
+                assert_eq!(stats.served + stats.degraded, 30, "{what}: {stats:?}");
+                assert!(stats.degraded > 0, "{what}: some requests degraded");
+                assert!(stats.retried > 0, "{what}: errnos were retried");
+                assert_eq!(app.latency().count(), 30, "{what}: every request timed");
+                let lb = app.runtime().lb();
+                assert_eq!(lb.pending_submissions(), 0, "{what}: nothing left queued");
+                let c = lb.telemetry().counters();
+                assert_eq!(c.prologs, c.epilogs, "{what}: balanced switches");
+            }
         }
     }
 

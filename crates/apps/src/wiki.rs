@@ -18,12 +18,13 @@
 use std::collections::HashMap;
 
 use enclosure_gofront::{sched::Recv, GoProgram, GoRuntime, GoSource, GoValue, Step};
-use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
 use enclosure_telemetry::{Event, Histogram};
 use litterbox::{Backend, BatchOp, Fault, IoMode, SysError};
 
-use crate::chaos::{render_unavailable, retry_transient, ChaosTally};
+use crate::chaos::{
+    degrade_conn, finish_request, listen_retrying, render_unavailable, retry_transient, ChaosTally,
+};
 use crate::client::Clients;
 use crate::httpd::ServeStats;
 use crate::mux::{render_not_found, render_page, route, Route};
@@ -201,15 +202,7 @@ impl WikiApp {
                 let listen_fd = match listen {
                     Some(fd) => fd,
                     None => {
-                        let setup = (|| -> Result<u32, SysError> {
-                            let fd = retry_transient(&srv_tally, || ctx.lb_mut().sys_socket())?;
-                            retry_transient(&srv_tally, || {
-                                ctx.lb_mut().sys_bind(fd, SockAddr::local(port))
-                            })?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_listen(fd))?;
-                            Ok(fd)
-                        })();
-                        match setup {
+                        match listen_retrying(&srv_tally, ctx.lb_mut(), port) {
                             Ok(fd) => listen = Some(fd),
                             // Retry the whole setup next round.
                             Err(e) if e.is_transient() => {}
@@ -245,22 +238,18 @@ impl WikiApp {
                                 }
                                 Err(e) if e.is_transient() => {
                                     // Degrade: 5xx this request, keep the
-                                    // server alive. The response itself
-                                    // runs un-injectable — it is the
-                                    // recovery path.
-                                    ctx.lb_mut().clock_mut().suspend_injection();
-                                    let _ = ctx.lb_mut().sys_send(conn, &render_unavailable());
-                                    let _ = ctx.lb_mut().sys_close(conn);
-                                    ctx.lb_mut().clock_mut().resume_injection();
-                                    srv_tally.borrow_mut().degraded += 1;
+                                    // server alive.
+                                    degrade_conn(ctx.lb_mut(), conn, true);
                                     accepted += 1;
                                     degraded += 1;
                                     if let Some(t0) = accept_ns.remove(&conn) {
-                                        let ns = ctx.lb().now_ns() - t0;
-                                        latency.borrow_mut().record(ns);
-                                        ctx.lb_mut()
-                                            .clock_mut()
-                                            .record(Event::RequestServed { ns, ok: false });
+                                        finish_request(
+                                            &srv_tally,
+                                            &latency,
+                                            ctx.lb_mut(),
+                                            t0,
+                                            false,
+                                        );
                                     }
                                 }
                                 Err(e) => return Err(e.into()),
@@ -297,24 +286,15 @@ impl WikiApp {
                         match sent {
                             Ok(()) => {}
                             Err(e) if e.is_transient() => {
-                                ctx.lb_mut().clock_mut().suspend_injection();
-                                let _ = ctx.lb_mut().sys_close(conn);
-                                ctx.lb_mut().clock_mut().resume_injection();
-                                // Count each request's degradation once:
-                                // a 503 from the glue already did.
-                                if ok {
-                                    srv_tally.borrow_mut().degraded += 1;
-                                }
+                                degrade_conn(ctx.lb_mut(), conn, false);
                                 ok = false;
                             }
                             Err(e) => return Err(e.into()),
                         }
+                        // A glue 503 or a failed tail is counted degraded
+                        // here, once per request.
                         if let Some(t0) = accept_ns.remove(&conn) {
-                            let ns = ctx.lb().now_ns() - t0;
-                            latency.borrow_mut().record(ns);
-                            ctx.lb_mut()
-                                .clock_mut()
-                                .record(Event::RequestServed { ns, ok });
+                            finish_request(&srv_tally, &latency, ctx.lb_mut(), t0, ok);
                         }
                         replied += 1;
                     }
@@ -329,7 +309,6 @@ impl WikiApp {
             })?;
 
         // ○A: trusted glue.
-        let glue_tally = tally.clone();
         self.rt.spawn("wiki-glue", move |ctx| {
             let mut progressed = false;
             match ctx.chan_recv(parsed_ch)? {
@@ -376,7 +355,6 @@ impl WikiApp {
                             // The proxy could not reach Postgres (or is
                             // quarantined): this request degrades to a
                             // 503 instead of taking the app down.
-                            glue_tally.borrow_mut().degraded += 1;
                             render_unavailable()
                         } else {
                             render_not_found()
@@ -497,6 +475,7 @@ impl WikiApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enclosure_kernel::net::SockAddr;
 
     #[test]
     fn wiki_serves_views_and_saves_on_all_backends() {

@@ -18,7 +18,7 @@ fn program() -> GoProgram {
 
 #[test]
 fn many_producers_one_consumer_sums_correctly() {
-    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
+    for backend in Backend::ALL {
         let mut rt = program().build(backend).unwrap();
         let ch = rt.make_chan(8);
         const PRODUCERS: u64 = 10;

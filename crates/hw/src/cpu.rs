@@ -1,6 +1,8 @@
 //! The simulated CPU: clock + PKRU register + combined access checks.
 
-use enclosure_vmem::{Access, Addr, PageTable, VirtRange, VmemError};
+use std::sync::Arc;
+
+use enclosure_vmem::{Access, Addr, PageTable, VmemError};
 
 use crate::mpk::Pkru;
 use crate::Clock;
@@ -57,7 +59,8 @@ impl Cpu {
     }
 
     /// Checks a data access against `table` *and* the PKRU register
-    /// (the MPK enforcement path: page rights first, then key rights).
+    /// (the MPK enforcement path: page rights first, then key rights),
+    /// reading each page entry once.
     ///
     /// # Errors
     ///
@@ -71,28 +74,21 @@ impl Cpu {
         len: u64,
         needed: Access,
     ) -> Result<(), VmemError> {
-        table.check(addr, len, needed)?;
         // Instruction fetches bypass PKRU entirely.
-        if (needed - Access::X).is_none() {
-            return Ok(());
+        let fetch_only = (needed - Access::X).is_none();
+        let denied = table.check_keyed(addr, len, needed, |key| {
+            fetch_only || self.pkru.allows(key, needed)
+        })?;
+        match denied {
+            None => Ok(()),
+            Some((addr, key)) => Err(VmemError::PkeyFault {
+                addr,
+                key,
+                needed,
+                pkru: self.pkru.bits(),
+                table: Arc::clone(table.shared_name()),
+            }),
         }
-        for page in VirtRange::new(addr, len.max(1)).pages() {
-            let entry = table.entry(page.base()).expect("checked by table.check");
-            if !self.pkru.allows(entry.key, needed) {
-                return Err(VmemError::PkeyFault {
-                    addr: if page == addr.page() {
-                        addr
-                    } else {
-                        page.base()
-                    },
-                    key: entry.key,
-                    needed,
-                    pkru: self.pkru.bits(),
-                    table: table.name().to_owned(),
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -106,7 +102,7 @@ impl Default for Cpu {
 mod tests {
     use super::*;
     use crate::CostModel;
-    use enclosure_vmem::PAGE_SIZE;
+    use enclosure_vmem::{VirtRange, PAGE_SIZE};
 
     fn keyed_table() -> PageTable {
         let mut t = PageTable::new("mpk");

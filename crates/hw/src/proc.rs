@@ -17,7 +17,7 @@
 //! the supervisor keeps. A crashed child is reaped and respawned by the
 //! supervisor on the next switch.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use enclosure_vmem::{Access, Addr, PageTable, VirtRange, VmemError};
@@ -57,7 +57,9 @@ struct Child {
 /// messages and IPC round-trips instead of CR3 rewrites and VM EXITs.
 #[derive(Debug)]
 pub struct ProcSandbox {
-    children: HashMap<EnvId, Child>,
+    /// Ordered, like [`crate::vtx::Vm`]'s tables: the active child is
+    /// found on every checked access without hashing its id.
+    children: BTreeMap<EnvId, Child>,
     current: EnvId,
     next_pid: u32,
     ledger: Vec<SpawnRecord>,
@@ -69,7 +71,7 @@ impl ProcSandbox {
     /// running.
     #[must_use]
     pub fn new(trusted: PageTable) -> ProcSandbox {
-        let mut children = HashMap::new();
+        let mut children = BTreeMap::new();
         children.insert(
             TRUSTED_ENV,
             Child {

@@ -2,7 +2,7 @@
 //! per execution environment, CR3 switches via guest syscalls, and
 //! hypercall (VM EXIT) syscall proxying (§5.3, `LB_VTX`).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use enclosure_vmem::{Access, Addr, PageTable, VirtRange, VmemError};
@@ -32,7 +32,9 @@ impl fmt::Display for EnvId {
 /// [`Clock::charge_guest_syscall`]); host syscalls VM EXIT.
 #[derive(Debug)]
 pub struct Vm {
-    tables: HashMap<EnvId, PageTable>,
+    /// A handful of environments, searched on every checked access: an
+    /// ordered map finds the active one without hashing its id.
+    tables: BTreeMap<EnvId, PageTable>,
     cr3: EnvId,
 }
 
@@ -40,7 +42,7 @@ impl Vm {
     /// Creates a VM with only the trusted page table installed.
     #[must_use]
     pub fn new(trusted: PageTable) -> Vm {
-        let mut tables = HashMap::new();
+        let mut tables = BTreeMap::new();
         tables.insert(TRUSTED_ENV, trusted);
         Vm {
             tables,

@@ -48,6 +48,12 @@ impl Backend {
     /// test matrices iterate.
     pub const ALL: [Backend; 4] = [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc];
 
+    /// [`Backend::ALL`] without the unenforced `Baseline`: the matrix of
+    /// tests that expect a view to be enforced.
+    pub fn enforcing() -> impl Iterator<Item = Backend> {
+        Backend::ALL.into_iter().filter(|&b| b != Backend::Baseline)
+    }
+
     /// The machine-level [`InjectionSite`]s that can actually fire on
     /// this backend — the chaos sites a soak arms per machine. Baseline
     /// is the control arm (nothing armed); fleet-level sites
@@ -1433,7 +1439,12 @@ impl LitterBox {
                 if target != TRUSTED_ENV {
                     let info = &self.envs[&target];
                     let super_meta = self.clustering.meta_of.get(LB_SUPER_PKG).copied();
-                    let mut pinned = Vec::new();
+                    // The keys of the metas the target's view grants,
+                    // LitterBox's own aside, gathered on the stack: a
+                    // switch whose working set is resident allocates
+                    // nothing.
+                    let mut pinned = [VirtualKey(0); MAX_BOUND_KEYS];
+                    let mut pinned_len = 0;
                     let mut to_bind = Vec::new();
                     for meta in &self.clustering.metas {
                         if Some(meta.index) == super_meta
@@ -1441,32 +1452,39 @@ impl LitterBox {
                         {
                             continue;
                         }
-                        pinned.push(vkey_of_meta[meta.index]);
-                        if !vkeys.is_bound(vkey_of_meta[meta.index]) {
+                        let vkey = vkey_of_meta[meta.index];
+                        if let Some(slot) = pinned.get_mut(pinned_len) {
+                            *slot = vkey;
+                        }
+                        pinned_len += 1;
+                        if !vkeys.is_bound(vkey) {
                             to_bind.push(meta.index);
                         }
                     }
-                    if pinned.len() > MAX_BOUND_KEYS {
+                    if pinned_len > MAX_BOUND_KEYS {
                         return Err(Fault::Init(format!(
-                            "enclosure '{}' pins {} meta-packages at once, more than \
+                            "enclosure '{}' pins {pinned_len} meta-packages at once, more than \
                              the {MAX_BOUND_KEYS} hardware keys",
                             info.name,
-                            pinned.len()
                         )));
                     }
-                    mpk_bind_many(
-                        table,
-                        vkeys,
-                        vkey_of_meta,
-                        &self.clustering.metas,
-                        &self.packages,
-                        &mut self.cpu,
-                        &pinned,
-                        &self.hot_pinned,
-                        &to_bind,
-                        self.coalesce_sweeps,
-                    )?;
-                    for &v in &pinned {
+                    let pinned = &pinned[..pinned_len];
+                    // Binding nothing is a no-op.
+                    if !to_bind.is_empty() {
+                        mpk_bind_many(
+                            table,
+                            vkeys,
+                            vkey_of_meta,
+                            &self.clustering.metas,
+                            &self.packages,
+                            &mut self.cpu,
+                            pinned,
+                            &self.hot_pinned,
+                            &to_bind,
+                            self.coalesce_sweeps,
+                        )?;
+                    }
+                    for &v in pinned {
                         vkeys.touch(v);
                     }
                 }

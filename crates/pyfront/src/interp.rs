@@ -6,7 +6,7 @@ use std::sync::Arc;
 use enclosure_core::{compute_view, Policy};
 use enclosure_hw::CostModel;
 use enclosure_kernel::Kernel;
-use enclosure_vmem::{Access, Addr, Section, SectionKind, PAGE_SIZE};
+use enclosure_vmem::{Access, Addr, IdMap, Section, SectionKind, PAGE_SIZE};
 use litterbox::deps::DepGraph;
 use litterbox::{
     Backend, EnclosureDesc, EnclosureId, EnvContext, Fault, LitterBox, PackageDesc, ProgramDesc,
@@ -58,7 +58,7 @@ pub struct PyStats {
     pub refcount_ops: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ObjInfo {
     meta: Addr,
     data: Addr,
@@ -87,7 +87,7 @@ pub struct Interpreter {
     loaded: BTreeSet<String>,
     functions: HashMap<String, FnBox>,
     enclosures: HashMap<String, PyEnclosure>,
-    objects: HashMap<u64, ObjInfo>,
+    objects: IdMap<u64, ObjInfo>,
     allocator: crate::interp::bump::BumpArenas,
     gc_young: Option<Addr>,
     gc_old: Option<Addr>,
@@ -198,7 +198,7 @@ impl Interpreter {
             loaded,
             functions: HashMap::new(),
             enclosures: HashMap::new(),
-            objects: HashMap::new(),
+            objects: IdMap::default(),
             allocator: bump::BumpArenas::default(),
             gc_young: None,
             gc_old: None,
@@ -526,10 +526,12 @@ impl Interpreter {
         }
     }
 
-    fn obj(&self, data: Addr) -> Result<ObjInfo, Fault> {
+    /// The bookkeeping of the object at `data`, borrowed: the refcount
+    /// path reads it several times per access and copies out only the
+    /// addresses it needs.
+    fn obj(&self, data: Addr) -> Result<&ObjInfo, Fault> {
         self.objects
             .get(&data.0)
-            .cloned()
             .ok_or_else(|| Fault::Init(format!("not a Python object: {data}")))
     }
 
@@ -577,11 +579,11 @@ impl Interpreter {
     ///
     /// [`Fault`] for unknown objects or irrecoverable metadata access.
     pub fn incref(&mut self, obj: Addr) -> Result<(), Fault> {
-        let info = self.obj(obj)?;
+        let meta = self.obj(obj)?.meta;
         self.lb.clock_mut().advance(REFCOUNT_NS);
         self.stats.refcount_ops += 1;
-        let rc = self.read_meta(info.meta)?;
-        self.write_meta(info.meta, rc + 1)
+        let rc = self.read_meta(meta)?;
+        self.write_meta(meta, rc + 1)
     }
 
     /// Decrements an object's refcount. Objects reaching zero are
@@ -591,11 +593,11 @@ impl Interpreter {
     ///
     /// [`Fault`] for unknown objects or irrecoverable metadata access.
     pub fn decref(&mut self, obj: Addr) -> Result<(), Fault> {
-        let info = self.obj(obj)?;
+        let meta = self.obj(obj)?.meta;
         self.lb.clock_mut().advance(REFCOUNT_NS);
         self.stats.refcount_ops += 1;
-        let rc = self.read_meta(info.meta)?;
-        self.write_meta(info.meta, rc.saturating_sub(1))
+        let rc = self.read_meta(meta)?;
+        self.write_meta(meta, rc.saturating_sub(1))
     }
 
     /// The module owning an object's data (diagnostics).
@@ -604,7 +606,7 @@ impl Interpreter {
     ///
     /// [`Fault`] for unknown objects.
     pub fn module_of(&self, obj: Addr) -> Result<String, Fault> {
-        Ok(self.obj(obj)?.module)
+        Ok(self.obj(obj)?.module.clone())
     }
 
     /// An object's current refcount (diagnostics).
@@ -613,8 +615,8 @@ impl Interpreter {
     ///
     /// [`Fault`] for unknown objects.
     pub fn refcount(&mut self, obj: Addr) -> Result<u64, Fault> {
-        let info = self.obj(obj)?;
-        self.read_meta(info.meta)
+        let meta = self.obj(obj)?.meta;
+        self.read_meta(meta)
     }
 
     /// Runs a young-generation GC cycle: walks the embedded linked list
@@ -668,10 +670,10 @@ impl Interpreter {
         let mut cursor = self.gc_young.take();
         let mut freed = 0u64;
         while let Some(data) = cursor {
-            let info = self.obj(data)?;
+            let meta = self.obj(data)?.meta;
             self.lb.clock_mut().advance(GC_NS_PER_OBJECT);
-            let rc = self.lb.load_u64(info.meta)?;
-            let next_raw = self.lb.load_u64(info.meta + 8)?;
+            let rc = self.lb.load_u64(meta)?;
+            let next_raw = self.lb.load_u64(meta + 8)?;
             cursor = (next_raw != 0).then_some(Addr(next_raw));
             if rc == 0 {
                 self.objects.remove(&data.0);
@@ -680,7 +682,7 @@ impl Interpreter {
                 freed += 1;
             } else {
                 let old_head = self.gc_old.map_or(0, |a| a.0);
-                self.lb.store_u64(info.meta + 8, old_head)?;
+                self.lb.store_u64(meta + 8, old_head)?;
                 self.gc_old = Some(data);
                 self.stats.promotions += 1;
             }
@@ -695,10 +697,10 @@ impl Interpreter {
         let mut prev_meta: Option<Addr> = None;
         let mut cursor = self.gc_old;
         while let Some(data) = cursor {
-            let info = self.obj(data)?;
+            let meta = self.obj(data)?.meta;
             self.lb.clock_mut().advance(GC_NS_PER_OBJECT);
-            let rc = self.lb.load_u64(info.meta)?;
-            let next_raw = self.lb.load_u64(info.meta + 8)?;
+            let rc = self.lb.load_u64(meta)?;
+            let next_raw = self.lb.load_u64(meta + 8)?;
             let next = (next_raw != 0).then_some(Addr(next_raw));
             if rc == 0 {
                 if let Some(pm) = prev_meta {
@@ -714,7 +716,7 @@ impl Interpreter {
                 if prev_meta.is_none() {
                     new_head = Some(data);
                 }
-                prev_meta = Some(info.meta);
+                prev_meta = Some(meta);
             }
             cursor = next;
         }
@@ -777,15 +779,14 @@ impl PyCtx<'_> {
     ///
     /// View violations on the data itself surface as [`Fault::Memory`].
     pub fn read(&mut self, obj: Addr, off: u64, len: u64) -> Result<Vec<u8>, Fault> {
-        let info = self.py.obj(obj)?;
-        if off + len > info.size {
+        let &ObjInfo { data, size, .. } = self.py.obj(obj)?;
+        if off + len > size {
             return Err(Fault::Init(format!(
-                "object read out of bounds: {off}+{len} > {}",
-                info.size
+                "object read out of bounds: {off}+{len} > {size}"
             )));
         }
         self.py.incref(obj)?;
-        let result = self.py.lb.load(info.data + off, len);
+        let result = self.py.lb.load(data + off, len);
         self.py.decref(obj)?;
         result
     }
@@ -797,12 +798,12 @@ impl PyCtx<'_> {
     /// [`Fault::Memory`] when the active view lacks write rights on the
     /// object's module.
     pub fn write(&mut self, obj: Addr, off: u64, bytes: &[u8]) -> Result<(), Fault> {
-        let info = self.py.obj(obj)?;
-        if off + bytes.len() as u64 > info.size {
+        let &ObjInfo { data, size, .. } = self.py.obj(obj)?;
+        if off + bytes.len() as u64 > size {
             return Err(Fault::Init("object write out of bounds".into()));
         }
         self.py.incref(obj)?;
-        let result = self.py.lb.store(info.data + off, bytes);
+        let result = self.py.lb.store(data + off, bytes);
         self.py.decref(obj)?;
         result
     }
@@ -814,8 +815,8 @@ impl PyCtx<'_> {
     ///
     /// Read faults on the source or allocation faults on the copy.
     pub fn localcopy(&mut self, obj: Addr) -> Result<Addr, Fault> {
-        let info = self.py.obj(obj)?;
-        let bytes = self.read(obj, 0, info.size)?;
+        let size = self.py.obj(obj)?.size;
+        let bytes = self.read(obj, 0, size)?;
         self.alloc(&bytes)
     }
 

@@ -44,6 +44,7 @@
 mod access;
 mod addr;
 mod error;
+mod idmap;
 mod section;
 mod space;
 mod table;
@@ -51,6 +52,7 @@ mod table;
 pub use access::Access;
 pub use addr::{page_count, Addr, PageIdx, VirtRange, PAGE_SHIFT, PAGE_SIZE};
 pub use error::VmemError;
+pub use idmap::{IdHasher, IdMap};
 pub use section::{Section, SectionKind};
 pub use space::AddressSpace;
 pub use table::{PageEntry, PageTable, ProtectionKey, NO_KEY};

@@ -1,9 +1,7 @@
 //! The program's single virtual address space: sparse backing pages plus a
 //! bump region allocator standing in for `mmap`.
 
-use std::collections::HashMap;
-
-use crate::{Addr, PageIdx, VirtRange, VmemError, PAGE_SIZE};
+use crate::{Addr, IdMap, PageIdx, VirtRange, VmemError, PAGE_SIZE};
 
 /// Base of the allocatable region. Low addresses stay unmapped so that
 /// null-ish pointers fault, as on a real OS.
@@ -20,7 +18,7 @@ const ALLOC_TOP: u64 = 1 << 40;
 /// lazily on first allocation and are zero-filled, like anonymous `mmap`.
 #[derive(Debug, Default)]
 pub struct AddressSpace {
-    pages: HashMap<PageIdx, Box<[u8]>>,
+    pages: IdMap<PageIdx, Box<[u8]>>,
     next: u64,
     allocated_bytes: u64,
 }
@@ -30,7 +28,7 @@ impl AddressSpace {
     #[must_use]
     pub fn new() -> AddressSpace {
         AddressSpace {
-            pages: HashMap::new(),
+            pages: IdMap::default(),
             next: ALLOC_BASE,
             allocated_bytes: 0,
         }

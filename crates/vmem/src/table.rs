@@ -1,9 +1,9 @@
 //! Per-execution-environment page tables.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use crate::{Access, Addr, PageIdx, VirtRange, VmemError};
+use crate::{Access, Addr, IdMap, PageIdx, VirtRange, VmemError};
 
 /// An Intel MPK protection key: a 4-bit tag stored in the page table entry
 /// (§5.3, "page table entries are tagged using 4 previously ignored bits").
@@ -47,23 +47,31 @@ impl PageEntry {
 ///   CPU layer on top of this table.
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    name: String,
-    entries: HashMap<PageIdx, PageEntry>,
+    /// Shared with every fault this table reports, so a denied access
+    /// allocates nothing.
+    name: Arc<str>,
+    entries: IdMap<PageIdx, PageEntry>,
 }
 
 impl PageTable {
     /// Creates an empty table named `name` (names appear in fault traces).
     #[must_use]
-    pub fn new(name: impl Into<String>) -> PageTable {
+    pub fn new(name: impl Into<Arc<str>>) -> PageTable {
         PageTable {
             name: name.into(),
-            entries: HashMap::new(),
+            entries: IdMap::default(),
         }
     }
 
     /// The table's (environment's) name.
     #[must_use]
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The table's name as the shared handle faults carry.
+    #[must_use]
+    pub fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -138,39 +146,66 @@ impl PageTable {
     /// grants `needed`.
     ///
     /// This is the page-rights half of the access check; the MPK key/PKRU
-    /// half lives in the CPU layer, which has the register state.
+    /// half lives in the CPU layer, which has the register state (see
+    /// [`PageTable::check_keyed`]).
     ///
     /// # Errors
     ///
     /// * [`VmemError::Unmapped`] for absent or non-present pages.
     /// * [`VmemError::ProtectionFault`] when rights are insufficient.
     pub fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
-        let span = VirtRange::new(addr, len.max(1));
-        for page in span.pages() {
-            let entry = self.entries.get(&page).ok_or_else(|| VmemError::Unmapped {
-                addr: page.base(),
-                table: self.name.clone(),
-            })?;
-            if !entry.present {
-                return Err(VmemError::Unmapped {
-                    addr: page.base(),
-                    table: self.name.clone(),
-                });
-            }
+        self.check_keyed(addr, len, needed, |_| true).map(|_| ())
+    }
+
+    /// [`PageTable::check`] plus a key test, reading each page entry once.
+    ///
+    /// Returns `Ok(Some((fault_addr, key)))` for the first page whose key
+    /// `key_ok` rejects. A rights fault anywhere in the span takes
+    /// precedence over a key denial, exactly as if the whole span were
+    /// rights-checked first and key-checked second.
+    ///
+    /// A fault is reported at `addr` while on `addr`'s own page and at
+    /// the faulting page's base after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`PageTable::check`].
+    pub fn check_keyed(
+        &self,
+        addr: Addr,
+        len: u64,
+        needed: Access,
+        key_ok: impl Fn(ProtectionKey) -> bool,
+    ) -> Result<Option<(Addr, ProtectionKey)>, VmemError> {
+        let mut denied = None;
+        for page in VirtRange::new(addr, len.max(1)).pages() {
+            let entry = match self.entries.get(&page) {
+                Some(entry) if entry.present => entry,
+                _ => {
+                    return Err(VmemError::Unmapped {
+                        addr: page.base(),
+                        table: Arc::clone(&self.name),
+                    })
+                }
+            };
+            let at = if page == addr.page() {
+                addr
+            } else {
+                page.base()
+            };
             if !entry.rights.contains(needed) {
                 return Err(VmemError::ProtectionFault {
-                    addr: if span.contains(addr) {
-                        addr
-                    } else {
-                        page.base()
-                    },
+                    addr: at,
                     needed,
                     granted: entry.rights,
-                    table: self.name.clone(),
+                    table: Arc::clone(&self.name),
                 });
             }
+            if denied.is_none() && !key_ok(entry.key) {
+                denied = Some((at, entry.key));
+            }
         }
-        Ok(())
+        Ok(denied)
     }
 
     /// Number of mapped pages.

@@ -230,6 +230,11 @@ echo "== fleet: fasthttp arm on the reactor, deterministic =="
 ./target/release/repro fleet --quick --app=fasthttp > "$fleet_out/f2.txt"
 cmp "$fleet_out/f1.txt" "$fleet_out/f2.txt"
 grep -q "invariants: OK" "$fleet_out/f1.txt"
+# Under chaos the reactor workers must degrade, not abort (the binary
+# exits non-zero on an escaped fault or a violated invariant).
+./target/release/repro fleet --quick --app=fasthttp --chaos --json > "$fleet_out/fc1.json"
+./target/release/repro fleet --quick --app=fasthttp --chaos --json > "$fleet_out/fc2.json"
+cmp "$fleet_out/fc1.json" "$fleet_out/fc2.json"
 
 echo "== fleet: tier-1 containment suite =="
 cargo test -q --offline --test fleet_serving

@@ -51,12 +51,6 @@ fn lab(backend: Backend) -> (LitterBox, Addr) {
     (lb, cs)
 }
 
-/// Every backend whose gateway can fault — all but the unenforced
-/// baseline, whose enclosures never leave the trusted environment.
-fn enforcing() -> impl Iterator<Item = Backend> {
-    Backend::ALL.into_iter().filter(|&b| b != Backend::Baseline)
-}
-
 /// A random time-independent op (its reply does not read the clock, so
 /// it is comparable across machines whose flush schedules differ). One
 /// in five always fails with `EBADF`, so errno streams are compared
@@ -249,7 +243,7 @@ enclosure_support::props! {
     /// transient errno, every other completes `Ok`, and none is lost.
     fn faulting_entry_is_contained_to_its_submitter(rng, cases = 12) {
         let n_ops = rng.range_usize(4, 12);
-        for backend in enforcing() {
+        for backend in Backend::enforcing() {
             let (mut lb, cs) = lab(backend);
             lb.set_io_mode(IoMode::Quantum);
             let t = lb.prolog(EnclosureId(1), cs).unwrap();
@@ -282,7 +276,7 @@ enclosure_support::props! {
     /// so its submitter wakes; batch-mates are untouched.
     fn lost_completion_still_wakes_its_submitter(rng, cases = 12) {
         let n_ops = rng.range_usize(3, 10);
-        for backend in enforcing() {
+        for backend in Backend::enforcing() {
             let (mut lb, cs) = lab(backend);
             lb.set_io_mode(IoMode::Quantum);
             let t = lb.prolog(EnclosureId(1), cs).unwrap();
@@ -310,7 +304,7 @@ enclosure_support::props! {
     /// serviced; a retry services every entry exactly once.
     fn lost_deadline_flush_is_retried_without_loss(rng, cases = 12) {
         let n_ops = rng.range_usize(2, 9);
-        for backend in enforcing() {
+        for backend in Backend::enforcing() {
             let (mut lb, cs) = lab(backend);
             lb.set_io_mode(IoMode::AdaptiveWith(FlushPolicy {
                 max_batch: usize::MAX / 2,

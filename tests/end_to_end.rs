@@ -8,11 +8,11 @@ use enclosure_repro::gofront::{GoProgram, GoSource, GoValue};
 use enclosure_repro::pyfront::{Interpreter, MetadataMode, PyModuleDef, PyValue};
 use litterbox::{Backend, Fault};
 
-/// The Figure 1 program behaves identically across all three backends
+/// The Figure 1 program behaves identically across every backend
 /// except for cost: reads allowed, writes and leaks faulted.
 #[test]
 fn figure1_semantics_are_backend_independent() {
-    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
+    for backend in Backend::ALL {
         let mut app = App::builder("fig1")
             .package("main", &["libfx", "secrets"])
             .package("libfx", &[])
@@ -55,9 +55,9 @@ fn go_pipeline_results_match_baseline() {
             .as_int()
             .unwrap()
     };
-    assert_eq!(run(Backend::Baseline), 144);
-    assert_eq!(run(Backend::Mpk), 144);
-    assert_eq!(run(Backend::Vtx), 144);
+    for backend in Backend::ALL {
+        assert_eq!(run(backend), 144, "{backend}");
+    }
 }
 
 /// The enforcement outcome (which operations fault) is identical between
@@ -114,7 +114,7 @@ fn mpk_and_vtx_agree_on_the_access_matrix() {
 fn bild_output_is_backend_invariant() {
     let cfg = BildConfig::tiny();
     let mut outputs = Vec::new();
-    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
+    for backend in Backend::ALL {
         let mut app = BildApp::new(backend, cfg).unwrap();
         let run = app.run_invert().unwrap();
         assert!(app.verify(&run).unwrap());
@@ -125,8 +125,9 @@ fn bild_output_is_backend_invariant() {
             .unwrap();
         outputs.push(bytes);
     }
-    assert_eq!(outputs[0], outputs[1]);
-    assert_eq!(outputs[1], outputs[2]);
+    for (backend, bytes) in Backend::ALL.into_iter().zip(&outputs).skip(1) {
+        assert_eq!(bytes, &outputs[0], "{backend}");
+    }
 }
 
 /// Python and Go frontends compose against the same LitterBox semantics:

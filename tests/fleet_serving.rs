@@ -132,6 +132,26 @@ fn fasthttp_fleet_serves_a_pinned_dispatch_trace() {
     assert_eq!(report.to_json().to_pretty(), again.to_json().to_pretty());
 }
 
+/// The `--app=fasthttp --chaos` arm: the reactor workers absorb
+/// injected transient errnos (retry in place, else degrade the one
+/// request) instead of failing the run, and two same-seed runs stay
+/// byte-identical.
+#[test]
+fn fasthttp_chaos_fleet_completes_deterministically() {
+    let cfg = FleetConfig::new(4, 2_000, 0xC4A05).with_chaos();
+    let run = || {
+        let report = FastHttpFleet::new(cfg.clone()).unwrap().run().unwrap();
+        let violations = check_invariants(&cfg, &report);
+        assert!(violations.is_empty(), "{violations:?}");
+        report
+    };
+    let a = run();
+    let b = run();
+    assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
+    assert!(a.crashes > 0, "the targeted kill fired");
+    assert_eq!(a.responses(), a.admitted, "zero loss under chaos");
+}
+
 /// The containment proof: a surgical mid-run kill of one shard (no
 /// other faults armed) loses zero accepted requests, perturbs only the
 /// victim and the ring-next shard that absorbed its traffic, and the

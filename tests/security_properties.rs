@@ -12,18 +12,13 @@ fn arb_rights(rng: &mut XorShift) -> Access {
     *rng.choose(&[Access::NONE, Access::R, Access::RW, Access::RWX])
 }
 
-/// Every backend that enforces a policy: all but the baseline.
-fn enforcing() -> impl Iterator<Item = Backend> {
-    Backend::ALL.into_iter().filter(|&b| b != Backend::Baseline)
-}
-
 enclosure_support::props! {
     /// For any granted rights on a foreign package, reads succeed iff R
     /// was granted and writes iff W was granted — on every enforcing
     /// backend.
     fn view_rights_are_enforced_exactly(rng, cases = 48) {
         let rights = arb_rights(rng);
-        for backend in enforcing() {
+        for backend in Backend::enforcing() {
             let mut app = App::builder("prop")
                 .package("main", &["lib", "foreign"])
                 .package("lib", &[])
@@ -58,7 +53,7 @@ enclosure_support::props! {
     /// permits getuid; and trusted code is never restricted.
     fn syscall_filters_are_total(rng, cases = 48) {
         let allow = rng.next_bool();
-        for backend in enforcing() {
+        for backend in Backend::enforcing() {
             let mut app = App::builder("prop")
                 .package("main", &["lib"])
                 .package("lib", &[])
@@ -83,7 +78,7 @@ enclosure_support::props! {
     fn nesting_monotonicity(rng, cases = 48) {
         let outer = arb_rights(rng);
         let inner = arb_rights(rng);
-        for backend in enforcing() {
+        for backend in Backend::enforcing() {
             // MPK cannot host two enclosures whose *entire* state collides;
             // give each enclosure a distinct anchor package so views differ.
             let mut app = App::builder("prop")

@@ -51,7 +51,7 @@ fn nested_workload(backend: Backend) -> App {
 /// backend (Baseline included), and the span stack unwinds to empty.
 #[test]
 fn prologs_match_epilogs_on_nonfaulting_runs() {
-    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
+    for backend in Backend::ALL {
         let app = nested_workload(backend);
         let counters = app.lb.telemetry().counters();
         // 5 outer calls, each entering the nested inner enclosure.
@@ -67,7 +67,7 @@ fn prologs_match_epilogs_on_nonfaulting_runs() {
 /// kernel, and trusted-environment calls are never filtered.
 #[test]
 fn filter_events_match_enclosed_syscall_entries() {
-    for backend in [Backend::Mpk, Backend::Vtx] {
+    for backend in Backend::enforcing() {
         // Distinct anchor packages: LB_MPK requires environments with
         // different filters to differ in view (seccomp indexes on PKRU).
         let mut app = App::builder("filters")
@@ -165,7 +165,7 @@ fn telemetry_init_ns_matches_litterbox_ledger() {
 /// for the epilog's unmatched `end_span`.
 #[test]
 fn unbalanced_span_stacks_degrade_to_events_not_panics() {
-    for backend in [Backend::Mpk, Backend::Vtx] {
+    for backend in Backend::enforcing() {
         let mut app = App::builder("imbalance")
             .package("main", &["lib"])
             .package("lib", &[])
@@ -227,7 +227,7 @@ fn span_tree_self_times(rec: &Recorder) -> BTreeMap<SpanScope, (u64, u64)> {
 /// self-time equal the sum over the span log's nodes with that scope.
 #[test]
 fn attribution_totals_equal_span_tree_self_times() {
-    for backend in [Backend::Mpk, Backend::Vtx] {
+    for backend in Backend::enforcing() {
         let mut app = App::builder("spantree")
             .package("main", &["lib", "anchor"])
             .package("lib", &[])
@@ -337,7 +337,7 @@ fn wiki_span_tree_is_well_nested_across_goroutine_tracks() {
 /// still equals the span tree's self-times, flush spans included.
 #[test]
 fn batched_quantum_flushes_keep_attribution_equal_to_span_tree() {
-    for backend in [Backend::Mpk, Backend::Vtx] {
+    for backend in Backend::enforcing() {
         let mut app = FastHttpApp::new(backend).unwrap();
         {
             let lb = app.runtime_mut().lb_mut();
@@ -427,7 +427,7 @@ fn fleet_chaos_and_drain_leave_span_stacks_balanced() {
 /// and live — equals the recorder's end-of-run counters exactly.
 #[test]
 fn windowed_series_conserves_mass_on_every_backend() {
-    for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
+    for backend in Backend::enforcing() {
         let mut app = WikiApp::new(backend).unwrap();
         app.runtime_mut()
             .lb_mut()
